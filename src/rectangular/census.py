@@ -20,10 +20,9 @@ from itertools import combinations
 from math import isqrt
 
 from .construct import rectangular_band
-from .core import CapacityError, GraphPair, Groupoid, bits_of, mask_of
+from .core import CapacityError, Groupoid, bits_of, make_groupoid, mask_of, two_step_middles
 from .isotopy import are_isotopic, canonical_form
-from .properties import is_central, is_rectangular
-from .transform import graph_pair_to_groupoid
+from .properties import is_rectangular
 
 RECT_LIST_BOUND = 3       # full labeled listing
 RECT_COUNT_BOUND = 4      # labeled counting / isomorphism classes
@@ -105,9 +104,8 @@ def iter_rectangular_tables(n: int):
         raise ValueError(f"order must be positive, got {n}")
     if n > ITER_BOUND:
         raise CapacityError(f"streaming bound is order {ITER_BOUND}")
-    size = n
     for flat in _rect_flats(n):
-        yield Groupoid(size, tuple(flat[i * size:(i + 1) * size] for i in range(size)))
+        yield make_groupoid(n, flat)
 
 
 def _rect_worker(args: tuple[int, int]) -> list[tuple[int, ...]]:
@@ -115,22 +113,15 @@ def _rect_worker(args: tuple[int, int]) -> list[tuple[int, ...]]:
     return list(_rect_flats(n, first_value=v))
 
 
-def _collect_rect_flats(n: int, jobs: int) -> list[tuple[int, ...]]:
-    shards = [(n, v) for v in range(n)]
-    if jobs > 1 and n > 1:
+def _map_shards(worker, shards: list, jobs: int) -> list:
+    """worker applied to each shard, in order; on a pool of up to jobs
+    worker processes when jobs > 1 and there is more than one shard."""
+    if jobs > 1 and len(shards) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(min(jobs, len(shards))) as pool:
-            parts = pool.map(_rect_worker, shards)
-    else:
-        parts = [_rect_worker(s) for s in shards]
-    flats = [f for part in parts for f in part]
-    flats.sort()
-    return flats
-
-
-def _groupoid(n: int, flat: tuple[int, ...]) -> Groupoid:
-    return Groupoid(n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+            return pool.map(worker, shards)
+    return [worker(s) for s in shards]
 
 
 def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> CensusResult:
@@ -142,6 +133,8 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if mode not in ("labeled", "isomorphism", "isotopy"):
         raise ValueError(f"unknown mode {mode!r}")
     bound = {"labeled": RECT_COUNT_BOUND,
@@ -150,16 +143,17 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     if n > bound:
         raise CapacityError(f"mode {mode} is bounded at order {bound}")
 
-    flats = _collect_rect_flats(n, jobs)
+    parts = _map_shards(_rect_worker, [(n, v) for v in range(n)], jobs)
+    flats = sorted(f for part in parts for f in part)
     if mode == "labeled":
         if n > RECT_LIST_BOUND:
             return CensusResult(n, mode, len(flats), None,
                                 note=f"listing is bounded at order {RECT_LIST_BOUND}")
         return CensusResult(n, mode, len(flats),
-                            tuple(_groupoid(n, f) for f in flats))
+                            tuple(make_groupoid(n, f) for f in flats))
 
-    reps = sorted({canonical_form(_groupoid(n, f)).flat() for f in flats})
-    groupoids = [_groupoid(n, f) for f in reps]
+    reps = sorted({canonical_form(make_groupoid(n, f)).flat() for f in flats})
+    groupoids = [make_groupoid(n, f) for f in reps]
     if mode == "isomorphism":
         return CensusResult(n, mode, len(groupoids), tuple(groupoids))
 
@@ -401,6 +395,8 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     m = isqrt(n)
     if m * m != n:
         return CensusResult(n, "isomorphism", 0, (),
@@ -410,22 +406,17 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     if n == 16 and not long_run:
         raise CapacityError("order 16 takes far longer than desk scale; pass long_run")
 
-    first_rows = _row_candidates(m)[0]
-    shards = [(m, fr) for fr in first_rows]
-    if jobs > 1 and len(shards) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(shards))) as pool:
-            parts = pool.map(_central_worker, shards)
-    else:
-        parts = [_central_worker(s) for s in shards]
-
+    parts = _map_shards(_central_worker, [(m, fr) for fr in _row_candidates(m)[0]], jobs)
     reps = {rows for part in parts for rows in part}
     tables = []
     for rows in sorted(reps):
-        g = graph_pair_to_groupoid(GraphPair(n, rows, rows))
-        assert is_central(g)
-        tables.append(g)
+        # a*b is the middle of the unique path a -> c -> b in the graph of B;
+        # the table is central exactly when B*B = J (Knuth 1970)
+        table, bad = two_step_middles(rows, rows)
+        if bad is not None:
+            raise RuntimeError(f"central search returned a matrix B with B*B != J: "
+                               f"witness {bad}")
+        tables.append(Groupoid(n, table))
     tables.sort(key=Groupoid.flat)
     return CensusResult(n, "isomorphism", len(tables), tuple(tables))
 

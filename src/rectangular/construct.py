@@ -147,22 +147,9 @@ def right_split_extension(a: Groupoid, b: Groupoid, f: Mapping, g: Mapping) -> G
     """Join two tables on A followed by B; the right operand picks the algebra.
 
     Copies rows of B into the top-right block and rows of A into the
-    bottom-left block.
+    bottom-left block: the opposite of the left split of the opposites.
     """
-    _check_split_maps(a, b, f, g)
-    na = a.order
-    size = na + b.order
-    table = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            if y < na:
-                row.append(a.table[x][y] if x < na else a.table[g.apply(x - na)][y])
-            else:
-                row.append(na + (b.table[f.apply(x)][y - na] if x < na
-                                 else b.table[x - na][y - na]))
-        table.append(tuple(row))
-    return Groupoid(size, tuple(table))
+    return opposite(left_split_extension(opposite(a), opposite(b), f, g))
 
 
 def partition_construction(ps: PartitionSystem) -> GraphPair:

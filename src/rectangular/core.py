@@ -43,6 +43,41 @@ def transpose_bits(rows: tuple[int, ...], order: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def line_symbol_sets(cells) -> tuple[list[int], list[int]]:
+    """Bitsets of the symbols in each row and in each column of a square
+    array; None cells are empty.  For a table these are the red rows of its
+    graph pair and the columns of its green relation."""
+    return ([mask_of(set(row) - {None}) for row in cells],
+            [mask_of(set(col) - {None}) for col in zip(*cells)])
+
+
+def two_step_middles(
+    first: tuple[int, ...], second: tuple[int, ...],
+) -> tuple[tuple[tuple[int, ...], ...] | None, tuple[int, int, int] | None]:
+    """The middle node of the unique two-step path a -> c -> b, with the
+    first step in ``first`` and the second in ``second`` (bitset rows).
+
+    Returns ``(table, None)`` with ``table[a][b] = c``, or ``(None, (a, b,
+    count))`` for the first pair in row-major order whose number of such
+    paths is not 1.  This one computation is the groupoid of a unique-path
+    graph pair, the check AB = J on 0/1 matrices, and the p2 property.
+    """
+    n = len(first)
+    cols = transpose_bits(second, n)
+    # paths leaving a = sum of the second-step degrees of a's first-step
+    # neighbours; with no empty pair, it is n exactly when every count is 1
+    degree = [row.bit_count() for row in second]
+    table = []
+    for a, row in enumerate(first):
+        mids = [(row & col).bit_length() - 1 for col in cols]
+        if -1 in mids or sum(degree[c] for c in bits_of(row)) != n:
+            b, count = next((b, k) for b, col in enumerate(cols)
+                            if (k := (row & col).bit_count()) != 1)
+            return None, (a, b, count)
+        table.append(tuple(mids))
+    return tuple(table), None
+
+
 def _check_square(order: int, rows, what: str) -> tuple[tuple[int, ...], ...]:
     if order < 1:
         raise ValueError(f"{what} order must be positive, got {order}")

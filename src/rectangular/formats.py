@@ -39,6 +39,13 @@ def _parse_order(lines: list[str]) -> int:
     return order
 
 
+def _reject_trailing(lines: list[str], end: int) -> None:
+    """Raise on the first non-blank line from index end on."""
+    for i in range(end, len(lines)):
+        if lines[i].strip():
+            raise FormatError(i + 1, f"unexpected text after the structure: {lines[i]!r}")
+
+
 def _parse_grid_line(line_no: int, raw: str, order: int, allow_empty: bool):
     tokens = raw.split()
     if len(tokens) != order:
@@ -68,6 +75,7 @@ def parse_table(text: str) -> Groupoid:
     rows = []
     for i in range(order):
         rows.append(tuple(_parse_grid_line(i + 2, lines[1 + i], order, False)))
+    _reject_trailing(lines, 1 + order)
     return Groupoid(order, tuple(rows))
 
 
@@ -85,6 +93,7 @@ def parse_partial(text: str) -> PartialArray:
     rows = []
     for i in range(order):
         rows.append(tuple(_parse_grid_line(i + 2, lines[1 + i], order, True)))
+    _reject_trailing(lines, 1 + order)
     return PartialArray(order, tuple(rows))
 
 
@@ -124,6 +133,7 @@ def parse_graph_pair(text: str) -> GraphPair:
     if sep >= len(lines) or lines[sep].strip():
         raise FormatError(sep + 1, "expected a blank line between the relations")
     green = _parse_bit_rows(lines, sep + 1, order, "green")
+    _reject_trailing(lines, sep + 1 + order)
     return GraphPair(order, red, green)
 
 
@@ -135,7 +145,9 @@ def render_graph_pair(gp: GraphPair) -> str:
 def parse_matrix(text: str) -> BoolMatrix:
     lines = _lines(text)
     order = _parse_order(lines)
-    return BoolMatrix(order, _parse_bit_rows(lines, 1, order, "matrix"))
+    rows = _parse_bit_rows(lines, 1, order, "matrix")
+    _reject_trailing(lines, 1 + order)
+    return BoolMatrix(order, rows)
 
 
 def render_matrix(m: BoolMatrix) -> str:

@@ -20,6 +20,7 @@ from .core import (
     Permutation,
     Transversal,
     compose,
+    make_groupoid,
 )
 
 ISOTOPY_SEARCH_BOUND = 6
@@ -137,9 +138,7 @@ def canonical_form(g: Groupoid) -> Groupoid:
             f"canonical form is factorial; order {g.order} exceeds bound "
             f"{CANONICAL_FORM_BOUND}"
         )
-    flat, _ = _min_relabeling(g)
-    n = g.order
-    return Groupoid(n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
+    return make_groupoid(g.order, _min_relabeling(g)[0])
 
 
 def are_isomorphic(g: Groupoid, h: Groupoid) -> Permutation | None:

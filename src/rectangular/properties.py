@@ -4,11 +4,29 @@ partial-array conditions.
 Every ``*_violation`` function returns the first witness tuple in a fixed
 scan order, or ``None``; the boolean predicates are thin wrappers.  Witnesses
 are what the CLI prints when a check comes out false.
+
+Most predicates are one of three computations:
+
+* An identity such as ``"(x*y)*(y*z)=y"`` is checked by one evaluator,
+  ``_counterexample``.  Its variables are scanned in alphabetical order, the
+  last one fastest, so the witness is the lexicographically first failing
+  tuple.  Each side is compiled once per call into closures that, for fixed
+  values of the other variables, compute the side as a list over the last
+  variable.
+* Unique two-step paths (p2, p4, matrix symmetry and ``derive_plus``) go
+  through ``core.two_step_middles``, which transform's graph-pair to
+  groupoid map shares.
+* The symbols of each row and column, ``core.line_symbol_sets``, give the
+  symbols that share a line with each symbol (pair-disjointness of full and
+  partial arrays, maximality) and a table's graph pair (matrix symmetry,
+  ``derive_plus``, transform's groupoid to graph-pair map).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 
 from .core import (
     BoolMatrix,
@@ -17,7 +35,9 @@ from .core import (
     Partition,
     PartialArray,
     bits_of,
+    line_symbol_sets,
     transpose_bits,
+    two_step_middles,
 )
 
 
@@ -56,50 +76,34 @@ def is_rectangular(g: Groupoid) -> bool:
     return rectangularity_violation(g) is None
 
 
-def _mate_masks(g: Groupoid) -> tuple[list[int], list[int]]:
-    """For each symbol: the other symbols sharing a row / a column with it."""
-    n = g.order
-    row_sets = [0] * n
-    col_sets = [0] * n
-    for a in range(n):
-        m = 0
-        for b in range(n):
-            m |= 1 << g.table[a][b]
-        row_sets[a] = m
-    for b in range(n):
-        m = 0
-        for a in range(n):
-            m |= 1 << g.table[a][b]
-        col_sets[b] = m
-    rowmate = [0] * n
-    colmate = [0] * n
-    for a in range(n):
-        for x in bits_of(row_sets[a]):
-            rowmate[x] |= row_sets[a]
-    for b in range(n):
-        for x in bits_of(col_sets[b]):
-            colmate[x] |= col_sets[b]
-    for x in range(n):
-        rowmate[x] &= ~(1 << x)
-        colmate[x] &= ~(1 << x)
-    return rowmate, colmate
+def _mates(sets: list[int], n: int) -> list[int]:
+    """For each symbol, the other symbols sharing one of the lines with it."""
+    mates = [0] * n
+    for m in set(sets):
+        for x in bits_of(m):
+            mates[x] |= m
+    return [m & ~(1 << x) for x, m in enumerate(mates)]
 
 
-def p1_violation(g: Groupoid) -> tuple[int, int, int, int] | None:
+def _pair_in_row_and_column(rows) -> tuple[int, int, int, int] | None:
     """First (x, y, row, col) with the pair {x, y} in both a row and a column."""
-    rowmate, colmate = _mate_masks(g)
-    n = g.order
+    n = len(rows)
+    row_sets, col_sets = line_symbol_sets(rows)
+    rowmate, colmate = _mates(row_sets, n), _mates(col_sets, n)
     for x in range(n):
         both = rowmate[x] & colmate[x]
         if both:
             y = next(bits_of(both))
-            row = next(a for a in range(n)
-                       if x in g.table[a] and y in g.table[a])
-            col = next(b for b in range(n)
-                       if x in [g.table[a][b] for a in range(n)]
-                       and y in [g.table[a][b] for a in range(n)])
+            pair = 1 << x | 1 << y
+            row = next(i for i, m in enumerate(row_sets) if m & pair == pair)
+            col = next(j for j, m in enumerate(col_sets) if m & pair == pair)
             return (x, y, row, col)
     return None
+
+
+def p1_violation(g: Groupoid) -> tuple[int, int, int, int] | None:
+    """First (x, y, row, col) with the pair {x, y} in both a row and a column."""
+    return _pair_in_row_and_column(g.table)
 
 
 def satisfies_p1(g: Groupoid) -> bool:
@@ -108,14 +112,7 @@ def satisfies_p1(g: Groupoid) -> bool:
 
 def p2_violation(gp: GraphPair) -> tuple[int, int, int] | None:
     """First (a, b, count) whose red-green two-step path count is not 1."""
-    green_cols = transpose_bits(gp.green, gp.order)
-    for a in range(gp.order):
-        red_row = gp.red[a]
-        for b in range(gp.order):
-            k = (red_row & green_cols[b]).bit_count()
-            if k != 1:
-                return (a, b, k)
-    return None
+    return two_step_middles(gp.red, gp.green)[1]
 
 
 def satisfies_p2(gp: GraphPair) -> bool:
@@ -126,13 +123,7 @@ def p4_violation(a: BoolMatrix, b: BoolMatrix) -> tuple[int, int, int] | None:
     """First (i, j, value) where the integer product entry differs from 1."""
     if a.order != b.order:
         raise ValueError(f"matrix orders differ: {a.order} vs {b.order}")
-    b_cols = transpose_bits(b.rows, b.order)
-    for i in range(a.order):
-        for j in range(a.order):
-            v = (a.rows[i] & b_cols[j]).bit_count()
-            if v != 1:
-                return (i, j, v)
-    return None
+    return two_step_middles(a.rows, b.rows)[1]
 
 
 def satisfies_p4(a: BoolMatrix, b: BoolMatrix) -> bool:
@@ -155,9 +146,11 @@ def is_full(g: Groupoid) -> bool:
 
 def maximality_violation(g: Groupoid) -> tuple[int, int] | None:
     """A pair of distinct symbols co-occurring in no row and no column."""
-    rowmate, colmate = _mate_masks(g)
-    full = (1 << g.order) - 1
-    for x in range(g.order):
+    n = g.order
+    row_sets, col_sets = line_symbol_sets(g.table)
+    rowmate, colmate = _mates(row_sets, n), _mates(col_sets, n)
+    full = (1 << n) - 1
+    for x in range(n):
         missing = full & ~(rowmate[x] | colmate[x]) & ~(1 << x)
         if missing:
             # co-occurrence is symmetric, so the first hit has y > x
@@ -169,11 +162,85 @@ def is_maximal(g: Groupoid) -> bool:
     return maximality_violation(g) is None
 
 
-def idempotence_violation(g: Groupoid) -> tuple[int] | None:
-    for a in range(g.order):
-        if g.table[a][a] != a:
-            return (a,)
+def _parse_term(text: str, i: int) -> tuple[str | tuple, int]:
+    """The product term starting at text[i], and the index after it.
+
+    A term is a one-letter variable or a (left, right) pair; ``*`` groups
+    to the left unless parentheses say otherwise.
+    """
+    def operand(i):
+        if text[i] == "(":
+            term, i = _parse_term(text, i + 1)
+            return term, i + 1
+        return text[i], i + 1
+
+    term, i = operand(i)
+    while i < len(text) and text[i] == "*":
+        right, i = operand(i + 1)
+        term = (term, right)
+    return term, i
+
+
+def _as_list(fn, varies: bool, n: int):
+    """A compiled term as a closure that always returns a list."""
+    return fn if varies else (lambda env: [fn(env)] * n)
+
+
+def _compile(term, last: str, outer: tuple, t: list, ids: list):
+    """(closure, varies) for a term.
+
+    The closure maps the values of the ``outer`` variables, all but
+    ``last``, to the term's value: a list over every value of ``last`` when
+    varies is true, else one symbol.
+    """
+    if isinstance(term, str):
+        if term == last:
+            return (lambda env: ids), True
+        return itemgetter(outer.index(term)), False
+    (lf, lv), (rf, rv) = (_compile(side, last, outer, t, ids) for side in term)
+    if not (lv or rv):
+        return (lambda env: t[lf(env)][rf(env)]), False
+    if not lv:
+        if term[1] == last:  # s*z over every z is row s
+            return (lambda env: t[lf(env)]), True
+
+        def row_of_list(env):
+            row = t[lf(env)]
+            return [row[v] for v in rf(env)]
+        return row_of_list, True
+    if term[0] == last and not rv:  # z*s over every z is column s
+        cols = [list(col) for col in zip(*t)]
+        return (lambda env: cols[rf(env)]), True
+    rf = _as_list(rf, rv, len(ids))
+    return (lambda env: [t[u][v] for u, v in zip(lf(env), rf(env))]), True
+
+
+@lru_cache(maxsize=None)
+def _parse_identity(identity: str) -> tuple[tuple, str, tuple]:
+    """(other variables, last variable, (left term, right term)), the
+    variables taken in alphabetical order."""
+    *outer, last = sorted({ch for ch in identity if ch.isalpha()})
+    sides = tuple(_parse_term(side, 0)[0] for side in identity.split("="))
+    return tuple(outer), last, sides
+
+
+def _counterexample(g: Groupoid, identity: str) -> tuple[int, ...] | None:
+    """The lexicographically first tuple of values, one per variable in
+    alphabetical order, at which ``identity`` fails."""
+    outer, last, sides = _parse_identity(identity)
+    t = [list(row) for row in g.table]
+    ids = list(range(g.order))
+    left, right = [_as_list(*_compile(term, last, outer, t, ids), g.order)
+                   for term in sides]
+    for env in product(range(g.order), repeat=len(outer)):
+        u, v = left(env), right(env)
+        if u != v:
+            return env + (next(i for i in ids if u[i] != v[i]),)
     return None
+
+
+def idempotence_violation(g: Groupoid) -> tuple[int] | None:
+    return _counterexample(g, "a*a=a")
 
 
 def is_idempotent(g: Groupoid) -> bool:
@@ -181,11 +248,7 @@ def is_idempotent(g: Groupoid) -> bool:
 
 
 def associativity_violation(g: Groupoid) -> tuple[int, int, int] | None:
-    t = g.table
-    for a, b, c in product(range(g.order), repeat=3):
-        if t[t[a][b]][c] != t[a][t[b][c]]:
-            return (a, b, c)
-    return None
+    return _counterexample(g, "(a*b)*c=a*(b*c)")
 
 
 def is_associative(g: Groupoid) -> bool:
@@ -194,11 +257,7 @@ def is_associative(g: Groupoid) -> bool:
 
 def centrality_violation(g: Groupoid) -> tuple[int, int, int] | None:
     """First (x, y, z) with (x*y)*(y*z) != y."""
-    t = g.table
-    for x, y, z in product(range(g.order), repeat=3):
-        if t[t[x][y]][t[y][z]] != y:
-            return (x, y, z)
-    return None
+    return _counterexample(g, "(x*y)*(y*z)=y")
 
 
 def is_central(g: Groupoid) -> bool:
@@ -207,11 +266,7 @@ def is_central(g: Groupoid) -> bool:
 
 def undirected_eq_violation(g: Groupoid) -> tuple[int, int, int] | None:
     """First (a, b, c) with (a*b)*(c*a) != a."""
-    t = g.table
-    for a, b, c in product(range(g.order), repeat=3):
-        if t[t[a][b]][t[c][a]] != a:
-            return (a, b, c)
-    return None
+    return _counterexample(g, "(a*b)*(c*a)=a")
 
 
 def satisfies_undirected_eq(g: Groupoid) -> bool:
@@ -220,14 +275,7 @@ def satisfies_undirected_eq(g: Groupoid) -> bool:
 
 def partitioned_eqs_violation(g: Groupoid) -> tuple[int, ...] | None:
     """Witness against {a*a = a, (a*b)*c = a*c}: (a,) or (a, b, c)."""
-    bad = idempotence_violation(g)
-    if bad:
-        return bad
-    t = g.table
-    for a, b, c in product(range(g.order), repeat=3):
-        if t[t[a][b]][c] != t[a][c]:
-            return (a, b, c)
-    return None
+    return idempotence_violation(g) or _counterexample(g, "(a*b)*c=a*c")
 
 
 def satisfies_partitioned_eqs(g: Groupoid) -> bool:
@@ -236,14 +284,7 @@ def satisfies_partitioned_eqs(g: Groupoid) -> bool:
 
 def dually_partitioned_eqs_violation(g: Groupoid) -> tuple[int, ...] | None:
     """Witness against {a*a = a, a*(b*c) = a*c}: (a,) or (a, b, c)."""
-    bad = idempotence_violation(g)
-    if bad:
-        return bad
-    t = g.table
-    for a, b, c in product(range(g.order), repeat=3):
-        if t[a][t[b][c]] != t[a][c]:
-            return (a, b, c)
-    return None
+    return idempotence_violation(g) or _counterexample(g, "a*(b*c)=a*c")
 
 
 def satisfies_dually_partitioned_eqs(g: Groupoid) -> bool:
@@ -252,11 +293,7 @@ def satisfies_dually_partitioned_eqs(g: Groupoid) -> bool:
 
 def left_reabsorption_violation(g: Groupoid) -> tuple[int, int] | None:
     """First (a, b) with a*(a*b) != a*b."""
-    t = g.table
-    for a, b in product(range(g.order), repeat=2):
-        if t[a][t[a][b]] != t[a][b]:
-            return (a, b)
-    return None
+    return _counterexample(g, "a*(a*b)=a*b")
 
 
 def satisfies_left_reabsorption(g: Groupoid) -> bool:
@@ -265,27 +302,11 @@ def satisfies_left_reabsorption(g: Groupoid) -> bool:
 
 def right_reabsorption_violation(g: Groupoid) -> tuple[int, int] | None:
     """First (a, b) with (a*b)*b != a*b."""
-    t = g.table
-    for a, b in product(range(g.order), repeat=2):
-        if t[t[a][b]][b] != t[a][b]:
-            return (a, b)
-    return None
+    return _counterexample(g, "(a*b)*b=a*b")
 
 
 def satisfies_right_reabsorption(g: Groupoid) -> bool:
     return right_reabsorption_violation(g) is None
-
-
-def _incidence_rows(g: Groupoid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Red and green bitset rows of the groupoid's graph pair."""
-    n = g.order
-    red = [0] * n
-    green = [0] * n
-    for a, row in enumerate(g.table):
-        for b, x in enumerate(row):
-            red[a] |= 1 << x
-            green[x] |= 1 << b
-    return tuple(red), tuple(green)
 
 
 def matrix_symmetry_violation(g: Groupoid) -> tuple[str, int, int, int] | None:
@@ -293,20 +314,14 @@ def matrix_symmetry_violation(g: Groupoid) -> tuple[str, int, int, int] | None:
 
     Direction "red-green" corresponds to the product AB, "green-red" to BA.
     """
-    red, green = _incidence_rows(g)
-    n = g.order
-    green_cols = transpose_bits(green, n)
-    red_cols = transpose_bits(red, n)
-    for a in range(n):
-        for b in range(n):
-            k = (red[a] & green_cols[b]).bit_count()
-            if k != 1:
-                return ("red-green", a, b, k)
-    for a in range(n):
-        for b in range(n):
-            k = (green[a] & red_cols[b]).bit_count()
-            if k != 1:
-                return ("green-red", a, b, k)
+    # red: the symbols of each row; green: the columns of each symbol
+    red, col_sets = line_symbol_sets(g.table)
+    green = transpose_bits(col_sets, g.order)
+    for direction, first, second in (("red-green", red, green),
+                                     ("green-red", green, red)):
+        bad = two_step_middles(first, second)[1]
+        if bad is not None:
+            return (direction, *bad)
     return None
 
 
@@ -321,22 +336,12 @@ def derive_plus(g: Groupoid) -> Groupoid:
     Requires ``is_matrix_symmetric(g)``; together the two operations satisfy
     (a*b)+(b*c) = b and (a+b)*(b+c) = b.
     """
-    red, green = _incidence_rows(g)
-    n = g.order
-    red_cols = transpose_bits(red, n)
-    table = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            mids = green[a] & red_cols[b]
-            k = mids.bit_count()
-            if k != 1:
-                raise ValueError(
-                    f"not matrix-symmetric: pair ({a},{b}) has {k} green-red paths"
-                )
-            row.append(next(bits_of(mids)))
-        table.append(tuple(row))
-    return Groupoid(n, tuple(table))
+    red, col_sets = line_symbol_sets(g.table)
+    table, bad = two_step_middles(transpose_bits(col_sets, g.order), red)
+    if bad is not None:
+        a, b, k = bad
+        raise ValueError(f"not matrix-symmetric: pair ({a},{b}) has {k} green-red paths")
+    return Groupoid(g.order, table)
 
 
 def partial_latin_violation(p: PartialArray) -> tuple[str, int, int] | None:
@@ -369,30 +374,7 @@ def is_partial_latin(p: PartialArray) -> bool:
 
 def partial_p1_violation(p: PartialArray) -> tuple[int, int, int, int] | None:
     """First (x, y, row, col) with the pair {x, y} in both a row and a column."""
-    n = p.order
-    rowmate = [0] * n
-    colmate = [0] * n
-    row_sets = [0] * n
-    col_sets = [0] * n
-    for i, j, e in p.filled():
-        row_sets[i] |= 1 << e
-        col_sets[j] |= 1 << e
-    for m in row_sets:
-        for x in bits_of(m):
-            rowmate[x] |= m & ~(1 << x)
-    for m in col_sets:
-        for x in bits_of(m):
-            colmate[x] |= m & ~(1 << x)
-    for x in range(n):
-        both = rowmate[x] & colmate[x]
-        if both:
-            y = next(bits_of(both))
-            row = next(i for i in range(n)
-                       if row_sets[i] >> x & 1 and row_sets[i] >> y & 1)
-            col = next(j for j in range(n)
-                       if col_sets[j] >> x & 1 and col_sets[j] >> y & 1)
-            return (x, y, row, col)
-    return None
+    return _pair_in_row_and_column(p.cells)
 
 
 def is_partial_p1(p: PartialArray) -> bool:

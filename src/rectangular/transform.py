@@ -13,8 +13,9 @@ from .core import (
     GraphPair,
     Groupoid,
     Partition,
-    bits_of,
+    line_symbol_sets,
     transpose_bits,
+    two_step_middles,
 )
 from .properties import congruence_violation
 
@@ -29,33 +30,17 @@ class ClosureError(ValueError):
 
 def groupoid_to_graph_pair(g: Groupoid) -> GraphPair:
     """Red edges (a, a*b); green edges (a*b, b)."""
-    n = g.order
-    red = [0] * n
-    green = [0] * n
-    for a, row in enumerate(g.table):
-        for b, x in enumerate(row):
-            red[a] |= 1 << x
-            green[x] |= 1 << b
-    return GraphPair(n, tuple(red), tuple(green))
+    red, green_cols = line_symbol_sets(g.table)
+    return GraphPair(g.order, tuple(red), transpose_bits(green_cols, g.order))
 
 
 def graph_pair_to_groupoid(gp: GraphPair) -> Groupoid:
     """a*b = the middle node of the unique red-green path from a to b."""
-    n = gp.order
-    green_cols = transpose_bits(gp.green, n)
-    table = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            mids = gp.red[a] & green_cols[b]
-            k = mids.bit_count()
-            if k != 1:
-                raise ValueError(
-                    f"not a unique-path pair: ({a},{b}) has {k} red-green paths"
-                )
-            row.append(next(bits_of(mids)))
-        table.append(tuple(row))
-    return Groupoid(n, tuple(table))
+    table, bad = two_step_middles(gp.red, gp.green)
+    if bad is not None:
+        a, b, k = bad
+        raise ValueError(f"not a unique-path pair: ({a},{b}) has {k} red-green paths")
+    return Groupoid(gp.order, table)
 
 
 def graph_pair_to_matrices(gp: GraphPair) -> tuple[BoolMatrix, BoolMatrix]:

@@ -36,16 +36,77 @@ def p1_by_sets(g: Groupoid) -> bool:
     return not row_pairs & col_pairs
 
 
-def p2_by_counting(gp: GraphPair) -> bool:
-    red = gp.red_edges()
-    green = gp.green_edges()
-    n = gp.order
+def shared_pair_witness(cells) -> tuple[int, int, int, int] | None:
+    """First (x, y, row, col), x then y ascending, with the symbols x != y
+    both in some row and both in some column, which are the first such."""
+    n = len(cells)
+    rows = [set(row) for row in cells]
+    cols = [set(col) for col in zip(*cells)]
+    for x in range(n):
+        for y in range(n):
+            both_rows = [i for i in range(n) if {x, y} <= rows[i]]
+            both_cols = [j for j in range(n) if {x, y} <= cols[j]]
+            if x != y and both_rows and both_cols:
+                return (x, y, both_rows[0], both_cols[0])
+    return None
+
+
+def two_step_by_counting(n: int, first: set, second: set):
+    """Middle nodes of the unique paths a -> c -> b over two edge sets.
+
+    Returns (table, None) with table[a][b] = c, or (None, (a, b, count))
+    for the first pair in row-major order without exactly one such path.
+    """
+    table = []
     for a in range(n):
+        row = []
         for b in range(n):
-            paths = [c for c in range(n) if (a, c) in red and (c, b) in green]
+            paths = [c for c in range(n) if (a, c) in first and (c, b) in second]
             if len(paths) != 1:
-                return False
-    return True
+                return None, (a, b, len(paths))
+            row.append(paths[0])
+        table.append(tuple(row))
+    return tuple(table), None
+
+
+def p2_by_counting(gp: GraphPair) -> bool:
+    return two_step_by_counting(gp.order, gp.red_edges(), gp.green_edges())[1] is None
+
+
+def incidence_edges(g: Groupoid) -> tuple[set, set]:
+    """Red edges (a, a*b) and green edges (a*b, b) of the groupoid's graph pair."""
+    n = g.order
+    red = {(a, g.table[a][b]) for a in range(n) for b in range(n)}
+    green = {(g.table[a][b], b) for a in range(n) for b in range(n)}
+    return red, green
+
+
+_IDEMPOTENT = (1, lambda t, a: t[a][a] == a)
+
+# Each equational predicate as its equations, taken in turn: (number of
+# variables, the equation as a test on one tuple of values).
+LITERAL_IDENTITIES = {
+    "idempotence_violation": [_IDEMPOTENT],
+    "associativity_violation": [(3, lambda t, a, b, c: t[t[a][b]][c] == t[a][t[b][c]])],
+    "centrality_violation": [(3, lambda t, x, y, z: t[t[x][y]][t[y][z]] == y)],
+    "undirected_eq_violation": [(3, lambda t, a, b, c: t[t[a][b]][t[c][a]] == a)],
+    "partitioned_eqs_violation": [
+        _IDEMPOTENT, (3, lambda t, a, b, c: t[t[a][b]][c] == t[a][c])],
+    "dually_partitioned_eqs_violation": [
+        _IDEMPOTENT, (3, lambda t, a, b, c: t[a][t[b][c]] == t[a][c])],
+    "left_reabsorption_violation": [(2, lambda t, a, b: t[a][t[a][b]] == t[a][b])],
+    "right_reabsorption_violation": [(2, lambda t, a, b: t[t[a][b]][b] == t[a][b])],
+}
+
+
+def literal_identity_violation(name: str, g: Groupoid):
+    """The first failing tuple of the predicate's first failing equation,
+    each equation scanned over product(range(n), repeat=k)."""
+    for arity, holds in LITERAL_IDENTITIES[name]:
+        for values in product(range(g.order), repeat=arity):
+            if not holds(g.table, *values):
+                return values
+    return None
 
 
 def matmul(a: BoolMatrix, b: BoolMatrix) -> list[list[int]]:

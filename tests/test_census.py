@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rectangular import census
 from rectangular.census import (
     CensusResult,
     enumerate_band_blow_ups,
@@ -100,6 +101,13 @@ class TestRectangular:
         with pytest.raises(ValueError, match="unknown mode"):
             enumerate_rectangular(2, "upto-nothing")
 
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -5):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                enumerate_rectangular(2, jobs=jobs)
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                enumerate_central(4, jobs=jobs)
+
     def test_stream_matches_labeled(self):
         streamed = [g.flat() for g in iter_rectangular_tables(2)]
         assert sorted(streamed) == sorted(ORDER_2_TABLES)
@@ -166,6 +174,13 @@ class TestCentral:
 
     def test_determinism(self):
         assert enumerate_central(4) == enumerate_central(4, jobs=2)
+
+    def test_non_central_search_result_is_an_error(self, monkeypatch):
+        # the identity matrix B has B*B = B, whose entry (0, 1) is 0, not 1
+        monkeypatch.setattr(census, "_central_solutions",
+                            lambda m, first_row=None: [(1, 2, 4, 8)])
+        with pytest.raises(RuntimeError, match=r"B\*B != J: witness \(0, 1, 0\)"):
+            enumerate_central(4)
 
 
 class TestBandBlowUps:

@@ -105,6 +105,25 @@ class TestGraphAndMatrixFormats:
             parse_graph_pair("2\n12\n01\n\n10\n01\n")
 
 
+PAIR_TEXT = "2\n10\n01\n\n10\n01\n"
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_table, "2\n0 1\n1 0\ngarbage here\n", 4),
+    (parse_table, "1\n0\n\n \n0\n", 5),
+    (parse_partial, "2\n. 1\n1 .\n. .\n", 4),
+    (parse_graph_pair, PAIR_TEXT + "XYZ\n", 7),
+    (parse_matrix_pair, PAIR_TEXT + "\n10\n", 8),
+    (parse_matrix, "2\n10\n01\n01\n", 4),
+])
+def test_text_after_the_structure_is_rejected(parse, text, line):
+    with pytest.raises(FormatError, match="after the structure") as info:
+        parse(text)
+    assert info.value.line == line
+    # the same structure followed by blank lines only is accepted
+    parse("\n".join(text.splitlines()[:line - 1]) + "\n\n  \n")
+
+
 @pytest.fixture
 def table_file(tmp_path):
     def write(name, text):
@@ -144,6 +163,16 @@ class TestCliCheck:
         path = table_file("bad.tbl", "2\n0 0\n0 2\n")
         assert main(["check", "--property", "rectangular", path]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_trailing_text_exit_two(self, capsys, table_file):
+        path = table_file("tail.tbl", "2\n0 1\n1 0\ngarbage here\n")
+        assert main(["check", "--property", "associative", path]) == 2
+        assert capsys.readouterr() == ("", "error: line 4: unexpected text after the "
+                                       "structure: 'garbage here'\n")
+        gp = render_graph_pair(groupoid_to_graph_pair(fx.X4))
+        path = table_file("tail.gp", gp + "XYZ\n")
+        assert main(["check", "--property", "p2", path]) == 2
+        assert "line 11" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, capsys):
         assert main(["check", "--property", "rectangular", "/nonexistent"]) == 2
@@ -273,6 +302,15 @@ class TestCliEnumerate:
         first = capsys.readouterr().out
         assert main(argv + ["--jobs", "3"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_jobs_below_one_exit_two(self, capsys):
+        for klass, order in (("rectangular", "2"), ("central", "4")):
+            for jobs in ("-5", "0"):
+                assert main(["enumerate", "--class", klass, "--order", order,
+                             "--jobs", jobs]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "jobs must be at least 1" in captured.err
 
     def test_non_square_central_reports_note(self, capsys):
         assert main(["enumerate", "--class", "central", "--order", "6"]) == 0

@@ -1,0 +1,112 @@
+"""The shared predicate kernels against the literal scans in oracles.py.
+
+The identity evaluator must return, for every equational ``*_violation``,
+the first failing tuple of ``product(range(n), repeat=k)``; the two-step
+kernel must return the middle-node table or the first pair whose plain path
+count is not 1, through every public function built on it.
+"""
+
+import random
+
+import pytest
+
+from rectangular import properties
+from rectangular.census import iter_rectangular_tables
+from rectangular.construct import evans_central, rectangular_band
+from rectangular.core import BoolMatrix, GraphPair, Groupoid, PartialArray
+from rectangular.transform import graph_pair_to_groupoid
+
+import oracles
+
+
+def _one_cell_changes(rng, g: Groupoid, count: int):
+    """Copies of a table that satisfies many identities, each with one cell
+    changed, so that witnesses lie deep in the scan."""
+    n = g.order
+    for _ in range(count):
+        rows = [list(row) for row in g.table]
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        yield Groupoid(n, tuple(map(tuple, rows)))
+
+
+def _tables() -> list[Groupoid]:
+    rng = random.Random(31)
+    tables = [*oracles.all_tables(1), *oracles.all_tables(2),
+              *iter_rectangular_tables(3)]
+    for n in range(1, 7):
+        tables += [oracles.random_groupoid(rng, n) for _ in range(100)]
+    for g in (evans_central(2), rectangular_band(2, 3), rectangular_band(3, 2)):
+        tables += [g, *_one_cell_changes(rng, g, 60)]
+    return tables
+
+
+TABLES = _tables()
+
+
+@pytest.mark.parametrize("name", sorted(oracles.LITERAL_IDENTITIES))
+def test_identity_evaluator_matches_literal_scan(name):
+    violation = getattr(properties, name)
+    found = 0
+    for g in TABLES:
+        want = oracles.literal_identity_violation(name, g)
+        assert violation(g) == want, (name, g.table)
+        found += want is not None
+    assert 0 < found < len(TABLES)
+
+
+def _middles_or_error(fn, *args):
+    try:
+        return fn(*args).table
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_two_step_kernel_matches_path_count_on_groupoid_pairs():
+    for g in TABLES:
+        n = g.order
+        red, green = oracles.incidence_edges(g)
+        gp = GraphPair.from_edges(n, red, green)
+        table, bad = oracles.two_step_by_counting(n, red, green)
+        assert properties.p2_violation(gp) == bad
+        assert properties.p4_violation(BoolMatrix(n, gp.red), BoolMatrix(n, gp.green)) == bad
+        assert _middles_or_error(graph_pair_to_groupoid, gp) == (
+            table if bad is None
+            else f"not a unique-path pair: ({bad[0]},{bad[1]}) has {bad[2]} red-green paths")
+
+        plus, plus_bad = oracles.two_step_by_counting(n, green, red)
+        assert _middles_or_error(properties.derive_plus, g) == (
+            plus if plus_bad is None
+            else f"not matrix-symmetric: pair ({plus_bad[0]},{plus_bad[1]}) has "
+                 f"{plus_bad[2]} green-red paths")
+        want = (("red-green", *bad) if bad is not None
+                else ("green-red", *plus_bad) if plus_bad is not None else None)
+        assert properties.matrix_symmetry_violation(g) == want
+
+
+def test_two_step_kernel_matches_path_count_on_random_pairs():
+    rng = random.Random(32)
+    counts = set()
+    for n in range(1, 7):
+        for _ in range(200):
+            gp = oracles.random_graph_pair(rng, n)
+            table, bad = oracles.two_step_by_counting(n, gp.red_edges(), gp.green_edges())
+            assert properties.p2_violation(gp) == bad
+            assert properties.p4_violation(BoolMatrix(n, gp.red),
+                                           BoolMatrix(n, gp.green)) == bad
+            assert _middles_or_error(graph_pair_to_groupoid, gp) == (
+                table if bad is None
+                else f"not a unique-path pair: ({bad[0]},{bad[1]}) has {bad[2]} red-green paths")
+            counts.add(None if bad is None else min(bad[2], 2))
+    assert counts == {None, 0, 2}
+
+
+def test_p1_and_partial_p1_match_literal_witness():
+    for g in TABLES:
+        want = oracles.shared_pair_witness(g.table)
+        assert properties.p1_violation(g) == want
+        assert properties.partial_p1_violation(PartialArray(g.order, g.table)) == want
+    rng = random.Random(33)
+    for n in range(1, 7):
+        for _ in range(100):
+            p = oracles.random_partial(rng, n, 0.5)
+            assert properties.partial_p1_violation(p) == oracles.shared_pair_witness(p.cells)
