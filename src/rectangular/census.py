@@ -6,8 +6,21 @@ rectangle criterion consistent at every step.  The central search works on
 the matrix model: row i's out-neighbours must index rows that tile the
 column set, which is checked incrementally; BB = J forces BJ = JB, hence
 every row and column sum equals sqrt(n) and the trace is sqrt(n), so loops
-can be pinned to the first sqrt(n) indices and solutions deduplicated by a
-minimum over the loop-preserving relabelings.
+can be pinned to the first sqrt(n) indices.  The relabelings that keep the
+loops first, Sym(0..m-1) x Sym(m..n-1), then act on the solutions, and the
+isomorphism classes are their orbits.
+
+Both isomorphism censuses deduplicate by orbit absorption (``_orbit_firsts``,
+after McKay, "Isomorph-free exhaustive generation", 1998): the labeled
+solutions are sorted, and each one that no earlier orbit has claimed starts
+a new class, whose every relabeling is looked up in the sorted list and
+marked.  The rectangular tables of an order are closed under relabeling, so
+the first member of each orbit is its least relabeling, the canonical form.
+The central search runs one first row per orbit of first rows under the
+relabelings that fix index 0; the number of other loops a first row holds
+names its orbit, so there are m shards instead of C(n-1, m-1).  Every class
+has a member among their solutions, and each class's first member is
+brought to its loops-first minimum.
 
 Searches can be split over a worker pool at the first row/cell; results are
 merged and sorted, so output is identical for every worker count.
@@ -15,13 +28,14 @@ merged and sorted, so output is identical for every worker count.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
-from math import isqrt
+from itertools import combinations, permutations
+from math import factorial, isqrt
 
 from .construct import rectangular_band
 from .core import CapacityError, Groupoid, bits_of, make_groupoid, mask_of, two_step_middles
-from .isotopy import are_isotopic, canonical_form
+from .isotopy import are_isotopic
 from .properties import is_rectangular
 
 RECT_LIST_BOUND = 3       # full labeled listing
@@ -29,6 +43,7 @@ RECT_COUNT_BOUND = 4      # labeled counting / isomorphism classes
 RECT_ISOTOPY_BOUND = 3
 ITER_BOUND = 5            # streaming generator
 CENTRAL_BOUND = 16
+ORBIT_BOUND = 10 ** 5     # largest relabeling group orbit absorption walks
 BLOW_UP_BOUND = 12
 
 
@@ -124,6 +139,44 @@ def _map_shards(worker, shards: list, jobs: int) -> list:
     return [worker(s) for s in shards]
 
 
+def _orbit_firsts(items: list, relabelings) -> list:
+    """The first member of each orbit met in a walk over the sorted list
+    items; relabelings(item) yields the item's whole orbit.
+
+    Each time the walk meets an item no earlier orbit has claimed, every
+    relabeling of it is looked up in items by bisection and marked, so the
+    relabelings are computed once per orbit, not once per item.
+    Relabelings missing from items are ignored.
+    """
+    seen = bytearray(len(items))
+    firsts = []
+    for i, item in enumerate(items):
+        if seen[i]:
+            continue
+        firsts.append(item)
+        for image in relabelings(item):
+            j = bisect_left(items, image)
+            if j < len(items) and items[j] == image:
+                seen[j] = 1
+    return firsts
+
+
+def _table_relabelings(n: int):
+    """The relabelings of a flat order-n table: relabel(g, sigma) for
+    every sigma, as flat tuples."""
+    moves = []
+    for sigma in permutations(range(n)):
+        inv = [0] * n
+        for i, v in enumerate(sigma):
+            inv[v] = i
+        moves.append((sigma, [inv[a] * n + inv[b] for a in range(n) for b in range(n)]))
+
+    def relabelings(flat):
+        for sigma, source in moves:
+            yield tuple([sigma[flat[k]] for k in source])
+    return relabelings
+
+
 def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> CensusResult:
     """Census of rectangular groupoids of order n.
 
@@ -152,8 +205,9 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
         return CensusResult(n, mode, len(flats),
                             tuple(make_groupoid(n, f) for f in flats))
 
-    reps = sorted({canonical_form(make_groupoid(n, f)).flat() for f in flats})
-    groupoids = [make_groupoid(n, f) for f in reps]
+    # flats is sorted and closed under relabeling, so the first member of
+    # each orbit is its least relabeling: canonical_form of the class
+    groupoids = [make_groupoid(n, f) for f in _orbit_firsts(flats, _table_relabelings(n))]
     if mode == "isomorphism":
         return CensusResult(n, mode, len(groupoids), tuple(groupoids))
 
@@ -306,20 +360,52 @@ def _central_solutions(m: int, first_row: int | None = None) -> list[tuple[int, 
     return out
 
 
+def _first_row_shards(m: int) -> list[int]:
+    """One first row per orbit of the first rows under the relabelings
+    that fix index 0, Sym(1..m-1) x Sym(m..n-1).
+
+    A first row holds its loop at 0 and m - 1 other columns; the orbit is
+    set by how many k of those are loops, so the representative takes the
+    k lowest other loops and the m - 1 - k lowest non-loops.
+    """
+    return [1 | mask_of(range(1, k + 1)) | mask_of(range(m, 2 * m - 1 - k))
+            for k in range(m)]
+
+
 def _central_worker(args: tuple[int, int]) -> list[tuple[int, ...]]:
-    """One first-row shard, already reduced to canonical representatives."""
+    """Every loops-first solution with the shard's first row, unreduced.
+
+    The parent merges the shards and absorbs whole orbits, so a class
+    spread over several shards costs one orbit, not one per shard."""
     m, first_row = args
-    reps = {_loops_first_min(rows, m) for rows in _central_solutions(m, first_row=first_row)}
-    return sorted(reps)
+    return _central_solutions(m, first_row=first_row)
+
+
+def _matrix_relabelings(m: int):
+    """The loops-first relabelings of a bitset-row matrix: row i and
+    column j of the image are row and column p[i], p[j] of the original,
+    for every p in Sym(0..m-1) x Sym(m..n-1)."""
+    n = m * m
+    moves = [(p, [p.index(j) for j in range(n)])
+             for p in (lo + hi for lo in permutations(range(m))
+                       for hi in permutations(range(m, n)))]
+
+    def relabelings(rows):
+        bits = [tuple(bits_of(row)) for row in rows]
+        for p, inv in moves:
+            yield tuple([sum(1 << inv[b] for b in bits[i]) for i in p])
+    return relabelings
 
 
 def _loops_first_min(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Minimum relabeling of a loops-first matrix over the permutations that
-    keep loops first.
+    keep loops first: the class representative of its orbit.
 
     Any isomorphism between two loops-first solutions maps loops to loops, so
-    equal minima characterise isomorphic solutions exactly.  Cells are
-    compared in growing-corner order, which lets the search prune on partial
+    equal minima characterise isomorphic solutions exactly.  The census calls
+    it once per class, on the first member of each orbit, and on every
+    solution only where an orbit is too large to absorb.  Cells are compared
+    in growing-corner order, which lets the search prune on partial
     relabelings.
     """
     n = m * m
@@ -406,8 +492,11 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     if n == 16 and not long_run:
         raise CapacityError("order 16 takes far longer than desk scale; pass long_run")
 
-    parts = _map_shards(_central_worker, [(m, fr) for fr in _row_candidates(m)[0]], jobs)
-    reps = {rows for part in parts for rows in part}
+    parts = _map_shards(_central_worker, [(m, fr) for fr in _first_row_shards(m)], jobs)
+    solutions = sorted(rows for part in parts for rows in part)
+    if factorial(m) * factorial(n - m) <= ORBIT_BOUND:
+        solutions = _orbit_firsts(solutions, _matrix_relabelings(m))
+    reps = {_loops_first_min(rows, m) for rows in solutions}
     tables = []
     for rows in sorted(reps):
         # a*b is the middle of the unique path a -> c -> b in the graph of B;

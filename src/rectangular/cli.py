@@ -235,11 +235,22 @@ def _cmd_transversal(args) -> int:
     return 0
 
 
+def _jobs(text: str) -> int:
+    """argparse type of --jobs: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"jobs must be an integer, got {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--one-based", action="store_true",
                         help="display symbols and indices 1-based (files stay 0-based)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
+    common.add_argument("--jobs", type=_jobs, default=1, metavar="N",
                         help="worker count for censuses; output is identical for all N")
 
     parser = argparse.ArgumentParser(

@@ -5,13 +5,18 @@ Symbols, rows, columns and graph nodes are always 0-based and live in
 (bit ``j`` of row ``i`` set iff ``(i, j)`` is present), so the path-counting
 predicates reduce to AND + popcount.  Every type is frozen; all operations in
 the package are pure functions and safe to call concurrently.
+
+The kernels every layer shares live here too: the two-step path count
+(``two_step_middles``), the symbols of each line (``line_symbol_sets``) and
+the identity evaluator (``identity_counterexample``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -76,6 +81,89 @@ def two_step_middles(
             return None, (a, b, count)
         table.append(tuple(mids))
     return tuple(table), None
+
+
+def _parse_term(text: str, i: int) -> tuple[str | tuple, int]:
+    """The product term starting at text[i], and the index after it.
+
+    A term is a one-letter variable or a (left, right) pair; ``*`` groups
+    to the left unless parentheses say otherwise.
+    """
+    def operand(i):
+        if text[i] == "(":
+            term, i = _parse_term(text, i + 1)
+            return term, i + 1
+        return text[i], i + 1
+
+    term, i = operand(i)
+    while i < len(text) and text[i] == "*":
+        right, i = operand(i + 1)
+        term = (term, right)
+    return term, i
+
+
+def _as_list(fn, varies: bool, n: int):
+    """A compiled term as a closure that always returns a list."""
+    return fn if varies else (lambda env: [fn(env)] * n)
+
+
+def _compile(term, last: str, outer: tuple, t: list, ids: list):
+    """(closure, varies) for a term.
+
+    The closure maps the values of the ``outer`` variables, all but
+    ``last``, to the term's value: a list over every value of ``last`` when
+    varies is true, else one symbol.
+    """
+    if isinstance(term, str):
+        if term == last:
+            return (lambda env: ids), True
+        return itemgetter(outer.index(term)), False
+    (lf, lv), (rf, rv) = (_compile(side, last, outer, t, ids) for side in term)
+    if not (lv or rv):
+        return (lambda env: t[lf(env)][rf(env)]), False
+    if not lv:
+        if term[1] == last:  # s*z over every z is row s
+            return (lambda env: t[lf(env)]), True
+
+        def row_of_list(env):
+            row = t[lf(env)]
+            return [row[v] for v in rf(env)]
+        return row_of_list, True
+    if term[0] == last and not rv:  # z*s over every z is column s
+        cols = [list(col) for col in zip(*t)]
+        return (lambda env: cols[rf(env)]), True
+    rf = _as_list(rf, rv, len(ids))
+    return (lambda env: [t[u][v] for u, v in zip(lf(env), rf(env))]), True
+
+
+@lru_cache(maxsize=None)
+def _parse_identity(identity: str) -> tuple[tuple, str, tuple]:
+    """(other variables, last variable, (left term, right term)), the
+    variables taken in alphabetical order."""
+    *outer, last = sorted({ch for ch in identity if ch.isalpha()})
+    sides = tuple(_parse_term(side, 0)[0] for side in identity.split("="))
+    return tuple(outer), last, sides
+
+
+def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
+    """The lexicographically first tuple of values, one per variable in
+    alphabetical order, at which ``identity`` fails in the table of g (a
+    Groupoid or a FiniteGroup).
+
+    Each side is compiled once per call into closures that, for fixed
+    values of the other variables, compute the side as a list over the last
+    variable.
+    """
+    outer, last, sides = _parse_identity(identity)
+    t = [list(row) for row in g.table]
+    ids = list(range(g.order))
+    left, right = [_as_list(*_compile(term, last, outer, t, ids), g.order)
+                   for term in sides]
+    for env in product(range(g.order), repeat=len(outer)):
+        u, v = left(env), right(env)
+        if u != v:
+            return env + (next(i for i in ids if u[i] != v[i]),)
+    return None
 
 
 def _check_square(order: int, rows, what: str) -> tuple[tuple[int, ...], ...]:
@@ -427,9 +515,9 @@ class FiniteGroup:
         )
         if identity is None:
             raise ValueError("table has no identity element")
-        for a, b, c in product(range(n), repeat=3):
-            if grid[grid[a][b]][c] != grid[a][grid[b][c]]:
-                raise ValueError(f"table is not associative at ({a},{b},{c})")
+        bad = identity_counterexample(self, "(x*y)*z=x*(y*z)")
+        if bad is not None:
+            raise ValueError(f"table is not associative at ({bad[0]},{bad[1]},{bad[2]})")
         for a in range(n):
             if not any(grid[a][b] == identity == grid[b][a] for b in range(n)):
                 raise ValueError(f"element {a} has no inverse")

@@ -8,11 +8,9 @@ are what the CLI prints when a check comes out false.
 Most predicates are one of three computations:
 
 * An identity such as ``"(x*y)*(y*z)=y"`` is checked by one evaluator,
-  ``_counterexample``.  Its variables are scanned in alphabetical order, the
-  last one fastest, so the witness is the lexicographically first failing
-  tuple.  Each side is compiled once per call into closures that, for fixed
-  values of the other variables, compute the side as a list over the last
-  variable.
+  ``core.identity_counterexample``, which ``FiniteGroup`` also uses for
+  associativity.  Its variables are scanned in alphabetical order, the last
+  one fastest, so the witness is the lexicographically first failing tuple.
 * Unique two-step paths (p2, p4, matrix symmetry and ``derive_plus``) go
   through ``core.two_step_middles``, which transform's graph-pair to
   groupoid map shares.
@@ -24,10 +22,6 @@ Most predicates are one of three computations:
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
-from operator import itemgetter
-
 from .core import (
     BoolMatrix,
     GraphPair,
@@ -35,6 +29,7 @@ from .core import (
     Partition,
     PartialArray,
     bits_of,
+    identity_counterexample,
     line_symbol_sets,
     transpose_bits,
     two_step_middles,
@@ -162,85 +157,8 @@ def is_maximal(g: Groupoid) -> bool:
     return maximality_violation(g) is None
 
 
-def _parse_term(text: str, i: int) -> tuple[str | tuple, int]:
-    """The product term starting at text[i], and the index after it.
-
-    A term is a one-letter variable or a (left, right) pair; ``*`` groups
-    to the left unless parentheses say otherwise.
-    """
-    def operand(i):
-        if text[i] == "(":
-            term, i = _parse_term(text, i + 1)
-            return term, i + 1
-        return text[i], i + 1
-
-    term, i = operand(i)
-    while i < len(text) and text[i] == "*":
-        right, i = operand(i + 1)
-        term = (term, right)
-    return term, i
-
-
-def _as_list(fn, varies: bool, n: int):
-    """A compiled term as a closure that always returns a list."""
-    return fn if varies else (lambda env: [fn(env)] * n)
-
-
-def _compile(term, last: str, outer: tuple, t: list, ids: list):
-    """(closure, varies) for a term.
-
-    The closure maps the values of the ``outer`` variables, all but
-    ``last``, to the term's value: a list over every value of ``last`` when
-    varies is true, else one symbol.
-    """
-    if isinstance(term, str):
-        if term == last:
-            return (lambda env: ids), True
-        return itemgetter(outer.index(term)), False
-    (lf, lv), (rf, rv) = (_compile(side, last, outer, t, ids) for side in term)
-    if not (lv or rv):
-        return (lambda env: t[lf(env)][rf(env)]), False
-    if not lv:
-        if term[1] == last:  # s*z over every z is row s
-            return (lambda env: t[lf(env)]), True
-
-        def row_of_list(env):
-            row = t[lf(env)]
-            return [row[v] for v in rf(env)]
-        return row_of_list, True
-    if term[0] == last and not rv:  # z*s over every z is column s
-        cols = [list(col) for col in zip(*t)]
-        return (lambda env: cols[rf(env)]), True
-    rf = _as_list(rf, rv, len(ids))
-    return (lambda env: [t[u][v] for u, v in zip(lf(env), rf(env))]), True
-
-
-@lru_cache(maxsize=None)
-def _parse_identity(identity: str) -> tuple[tuple, str, tuple]:
-    """(other variables, last variable, (left term, right term)), the
-    variables taken in alphabetical order."""
-    *outer, last = sorted({ch for ch in identity if ch.isalpha()})
-    sides = tuple(_parse_term(side, 0)[0] for side in identity.split("="))
-    return tuple(outer), last, sides
-
-
-def _counterexample(g: Groupoid, identity: str) -> tuple[int, ...] | None:
-    """The lexicographically first tuple of values, one per variable in
-    alphabetical order, at which ``identity`` fails."""
-    outer, last, sides = _parse_identity(identity)
-    t = [list(row) for row in g.table]
-    ids = list(range(g.order))
-    left, right = [_as_list(*_compile(term, last, outer, t, ids), g.order)
-                   for term in sides]
-    for env in product(range(g.order), repeat=len(outer)):
-        u, v = left(env), right(env)
-        if u != v:
-            return env + (next(i for i in ids if u[i] != v[i]),)
-    return None
-
-
 def idempotence_violation(g: Groupoid) -> tuple[int] | None:
-    return _counterexample(g, "a*a=a")
+    return identity_counterexample(g, "a*a=a")
 
 
 def is_idempotent(g: Groupoid) -> bool:
@@ -248,7 +166,7 @@ def is_idempotent(g: Groupoid) -> bool:
 
 
 def associativity_violation(g: Groupoid) -> tuple[int, int, int] | None:
-    return _counterexample(g, "(a*b)*c=a*(b*c)")
+    return identity_counterexample(g, "(a*b)*c=a*(b*c)")
 
 
 def is_associative(g: Groupoid) -> bool:
@@ -257,7 +175,7 @@ def is_associative(g: Groupoid) -> bool:
 
 def centrality_violation(g: Groupoid) -> tuple[int, int, int] | None:
     """First (x, y, z) with (x*y)*(y*z) != y."""
-    return _counterexample(g, "(x*y)*(y*z)=y")
+    return identity_counterexample(g, "(x*y)*(y*z)=y")
 
 
 def is_central(g: Groupoid) -> bool:
@@ -266,7 +184,7 @@ def is_central(g: Groupoid) -> bool:
 
 def undirected_eq_violation(g: Groupoid) -> tuple[int, int, int] | None:
     """First (a, b, c) with (a*b)*(c*a) != a."""
-    return _counterexample(g, "(a*b)*(c*a)=a")
+    return identity_counterexample(g, "(a*b)*(c*a)=a")
 
 
 def satisfies_undirected_eq(g: Groupoid) -> bool:
@@ -275,7 +193,7 @@ def satisfies_undirected_eq(g: Groupoid) -> bool:
 
 def partitioned_eqs_violation(g: Groupoid) -> tuple[int, ...] | None:
     """Witness against {a*a = a, (a*b)*c = a*c}: (a,) or (a, b, c)."""
-    return idempotence_violation(g) or _counterexample(g, "(a*b)*c=a*c")
+    return idempotence_violation(g) or identity_counterexample(g, "(a*b)*c=a*c")
 
 
 def satisfies_partitioned_eqs(g: Groupoid) -> bool:
@@ -284,7 +202,7 @@ def satisfies_partitioned_eqs(g: Groupoid) -> bool:
 
 def dually_partitioned_eqs_violation(g: Groupoid) -> tuple[int, ...] | None:
     """Witness against {a*a = a, a*(b*c) = a*c}: (a,) or (a, b, c)."""
-    return idempotence_violation(g) or _counterexample(g, "a*(b*c)=a*c")
+    return idempotence_violation(g) or identity_counterexample(g, "a*(b*c)=a*c")
 
 
 def satisfies_dually_partitioned_eqs(g: Groupoid) -> bool:
@@ -293,7 +211,7 @@ def satisfies_dually_partitioned_eqs(g: Groupoid) -> bool:
 
 def left_reabsorption_violation(g: Groupoid) -> tuple[int, int] | None:
     """First (a, b) with a*(a*b) != a*b."""
-    return _counterexample(g, "a*(a*b)=a*b")
+    return identity_counterexample(g, "a*(a*b)=a*b")
 
 
 def satisfies_left_reabsorption(g: Groupoid) -> bool:
@@ -302,7 +220,7 @@ def satisfies_left_reabsorption(g: Groupoid) -> bool:
 
 def right_reabsorption_violation(g: Groupoid) -> tuple[int, int] | None:
     """First (a, b) with (a*b)*b != a*b."""
-    return _counterexample(g, "(a*b)*b=a*b")
+    return identity_counterexample(g, "(a*b)*b=a*b")
 
 
 def satisfies_right_reabsorption(g: Groupoid) -> bool:

@@ -132,6 +132,21 @@ def automorphism_count(g: Groupoid) -> int:
     return count
 
 
+def automorphism_count_by_idempotents(g: Groupoid) -> int:
+    """automorphism_count(g), with the candidates cut to the permutations
+    that map idempotents to idempotents, as every automorphism does."""
+    n = g.order
+    fixed = [a for a in range(n) if g.table[a][a] == a]
+    moved = [a for a in range(n) if g.table[a][a] != a]
+    count = 0
+    for images in product(permutations(fixed), permutations(moved)):
+        sigma = dict(zip(fixed + moved, images[0] + images[1]))
+        if all(sigma[g.table[a][b]] == g.table[sigma[a]][sigma[b]]
+               for a in range(n) for b in range(n)):
+            count += 1
+    return count
+
+
 def random_groupoid(rng, n: int) -> Groupoid:
     return Groupoid(n, tuple(tuple(rng.randrange(n) for _ in range(n))
                              for _ in range(n)))

@@ -1,6 +1,10 @@
 import random
+from functools import lru_cache
+from itertools import permutations
+from math import comb, factorial, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectangular import census
 from rectangular.census import (
@@ -10,9 +14,17 @@ from rectangular.census import (
     enumerate_rectangular,
     iter_rectangular_tables,
 )
-from rectangular.core import CapacityError, make_groupoid, opposite
+from rectangular.core import (
+    CapacityError,
+    Groupoid,
+    Permutation,
+    make_groupoid,
+    mask_of,
+    opposite,
+    two_step_middles,
+)
 from rectangular.construct import evans_central
-from rectangular.isotopy import are_isomorphic, are_isotopic, canonical_form
+from rectangular.isotopy import are_isomorphic, are_isotopic, canonical_form, relabel
 from rectangular.properties import is_central, is_rectangular
 
 import oracles
@@ -31,6 +43,12 @@ ORDER_3_ISOTOPY = 9
 ORDER_4_LABELED = 42676
 ORDER_4_ISO = 1864
 CENTRAL_4_CLASSES = 1
+CENTRAL_9_LABELED = 15840  # loops-first solutions over all 28 first rows
+
+
+@lru_cache(maxsize=None)
+def _iso_reps(n):
+    return enumerate_rectangular(n, "isomorphism").tables
 
 
 class TestRectangular:
@@ -67,14 +85,18 @@ class TestRectangular:
                 assert is_rectangular(g)
 
     def test_labeled_count_equals_class_orbit_sum(self):
-        from math import factorial
-
-        for n in (2, 3):
+        for n in (2, 3, 4):
             labeled = enumerate_rectangular(n, "labeled").count
-            reps = enumerate_rectangular(n, "isomorphism").tables
+            reps = _iso_reps(n)
             orbit_sum = sum(factorial(n) // oracles.automorphism_count(g)
                             for g in reps)
             assert labeled == orbit_sum
+
+    def test_iso_reps_are_the_canonical_forms(self):
+        # orbit absorption against canonicalizing every labeled table
+        for n in range(1, 5):
+            slow = sorted({canonical_form(g).flat() for g in iter_rectangular_tables(n)})
+            assert [g.flat() for g in _iso_reps(n)] == slow
 
     def test_isotopy_classes_are_isotopy_inequivalent(self):
         reps = enumerate_rectangular(3, "isotopy").tables
@@ -115,6 +137,22 @@ class TestRectangular:
             next(iter_rectangular_tables(6))
 
 
+@settings(max_examples=10, deadline=None, database=None)
+@given(st.integers(min_value=0))
+def test_canonical_form_of_any_relabeling_is_the_rep(seed):
+    rng = random.Random(seed)  # one random relabeling per representative
+    for rep in _iso_reps(4):
+        sigma = Permutation(tuple(rng.sample(range(4), 4)))
+        assert canonical_form(relabel(rep, sigma)) == rep
+
+
+def test_orbit_firsts_skips_claimed_items_and_missing_images():
+    # orbits of x -> x + 3 (mod 12); 7 is claimed by 4, 10 is not in items
+    rotations = lambda x: ((x + k) % 12 for k in range(0, 12, 3))
+    assert census._orbit_firsts(list(range(12)), rotations) == [0, 1, 2]
+    assert census._orbit_firsts([0, 4, 5, 7, 9], rotations) == [0, 4, 5]
+
+
 class TestCentral:
     def test_order_one(self):
         r = enumerate_central(1)
@@ -133,8 +171,6 @@ class TestCentral:
                    for i in range(4) for j in range(4)):
                 labeled.append(tuple(rows))
         assert len(labeled) == 12
-        from itertools import permutations
-
         classes = set()
         for rows in labeled:
             best = None
@@ -174,6 +210,63 @@ class TestCentral:
 
     def test_determinism(self):
         assert enumerate_central(4) == enumerate_central(4, jobs=2)
+
+    def test_first_row_shards_are_one_per_orbit(self):
+        # orbits of the first rows under Sym(1..m-1) x Sym(m..n-1), by brute
+        # force: the orbit of a row with k other loops has C(m-1, k) C(n-m, m-1-k)
+        for m in (1, 2, 3):
+            n = m * m
+            stabilizer = [(0,) + lo + hi for lo in permutations(range(1, m))
+                          for hi in permutations(range(m, n))]
+            orbits = {frozenset(mask_of(p[j] for j in range(n) if row >> j & 1)
+                                for p in stabilizer)
+                      for row in census._row_candidates(m)[0]}
+            shards = census._first_row_shards(m)
+            assert [(fr & mask_of(range(1, m))).bit_count() for fr in shards] \
+                == list(range(m))
+            assert sorted(len(orbit & set(shards)) for orbit in orbits) == [1] * m
+            assert [len(next(o for o in orbits if fr in o)) for fr in shards] \
+                == [comb(m - 1, k) * comb(n - m, m - 1 - k) for k in range(m)]
+
+    def test_order_nine_orbit_counts(self):
+        m, n = 3, 9
+        reps = enumerate_central(n).tables
+        group = factorial(m) * factorial(n - m)  # 4320 loops-first relabelings
+        assert sum(group // oracles.automorphism_count_by_idempotents(g)
+                   for g in reps) == CENTRAL_9_LABELED
+        sizes = [comb(m - 1, k) * comb(n - m, m - 1 - k) for k in range(m)]
+        assert sizes == [15, 12, 1]
+        shards = [census._central_solutions(m, first_row=fr)
+                  for fr in census._first_row_shards(m)]
+        counts = [len(shard) for shard in shards]
+        assert sum(s * c for s, c in zip(sizes, counts)) == CENTRAL_9_LABELED
+        # one first member per class: each absorbed orbit holds all its solutions
+        solutions = sorted(rows for shard in shards for rows in shard)
+        assert len(census._orbit_firsts(solutions, census._matrix_relabelings(m))) == len(reps)
+        # another row of each orbit: the k highest other loops, highest non-loops
+        for k, count in enumerate(counts):
+            other = 1 | mask_of(range(m - k, m)) | mask_of(range(n - (m - 1 - k), n))
+            assert len(census._central_solutions(m, first_row=other)) == count
+
+    def test_orbit_absorption_matches_every_first_row(self):
+        for n in (1, 4):
+            m = isqrt(n)
+            slow = {census._loops_first_min(rows, m)
+                    for fr in census._row_candidates(m)[0]
+                    for rows in census._central_solutions(m, first_row=fr)}
+            tables = sorted((Groupoid(n, two_step_middles(rows, rows)[0]) for rows in slow),
+                            key=Groupoid.flat)
+            assert enumerate_central(n).tables == tuple(tables)
+
+    def test_orbits_too_large_to_absorb_are_canonicalized_one_by_one(self, monkeypatch):
+        absorbed = [enumerate_central(n) for n in (4, 9)]
+        monkeypatch.setattr(census, "ORBIT_BOUND", 0)
+        assert [enumerate_central(n) for n in (4, 9)] == absorbed
+
+    def test_idempotent_automorphism_oracle_agrees(self):
+        for g in (*enumerate_central(4).tables, *_iso_reps(3)):
+            assert oracles.automorphism_count_by_idempotents(g) == \
+                oracles.automorphism_count(g)
 
     def test_non_central_search_result_is_an_error(self, monkeypatch):
         # the identity matrix B has B*B = B, whose entry (0, 1) is 0, not 1

@@ -312,6 +312,19 @@ class TestCliEnumerate:
                 assert captured.out == ""
                 assert "jobs must be at least 1" in captured.err
 
+    def test_jobs_below_one_exit_two_where_jobs_is_unused(self, capsys, table_file):
+        # --jobs is common to every subcommand, so it is checked by the parser
+        path = table_file("x4.tbl", X4_TEXT)
+        for argv in (["check", "--property", "central", path],
+                     ["enumerate", "--class", "band-blowups", "--order", "2x2"]):
+            for jobs in ("-3", "0", "two"):
+                assert main(argv + ["--jobs", jobs]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "argument --jobs: jobs must be" in captured.err
+            assert main(argv + ["--jobs", "2"]) in (0, 1)
+            assert capsys.readouterr().out
+
     def test_non_square_central_reports_note(self, capsys):
         assert main(["enumerate", "--class", "central", "--order", "6"]) == 0
         captured = capsys.readouterr()

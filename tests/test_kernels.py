@@ -13,7 +13,7 @@ import pytest
 from rectangular import properties
 from rectangular.census import iter_rectangular_tables
 from rectangular.construct import evans_central, rectangular_band
-from rectangular.core import BoolMatrix, GraphPair, Groupoid, PartialArray
+from rectangular.core import BoolMatrix, FiniteGroup, GraphPair, Groupoid, PartialArray
 from rectangular.transform import graph_pair_to_groupoid
 
 import oracles
@@ -110,3 +110,29 @@ def test_p1_and_partial_p1_match_literal_witness():
         for _ in range(100):
             p = oracles.random_partial(rng, n, 0.5)
             assert properties.partial_p1_violation(p) == oracles.shared_pair_witness(p.cells)
+
+
+def test_finite_group_associativity_witness_is_the_first_literal_one():
+    # tables with identity 0, so FiniteGroup reaches its associativity check
+    rng = random.Random(34)
+    tables = [Groupoid(n, tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))
+              for n in range(1, 7)]
+    for n in range(2, 7):
+        for _ in range(100):
+            rows = [tuple(range(n))] + [(a,) + tuple(rng.randrange(n) for _ in range(n - 1))
+                                        for a in range(1, n)]
+            tables.append(Groupoid(n, tuple(rows)))
+    outcomes = set()
+    for g in tables:
+        bad = oracles.literal_identity_violation("associativity_violation", g)
+        try:
+            FiniteGroup(g.order, g.table)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        if bad is None:
+            assert got is None or got.endswith("has no inverse")
+        else:
+            assert got == "table is not associative at (%d,%d,%d)" % bad
+        outcomes.add(bad is None)
+    assert outcomes == {True, False}
