@@ -1,21 +1,24 @@
 """Exhaustive censuses: rectangular tables, central groupoids (BB = J
 matrices), and one-element blow-ups of rectangular bands.
 
-The rectangular search backtracks over cells keeping the per-symbol
-rectangle criterion consistent at every step.  The central search works on
-the matrix model: row i's out-neighbours must index rows that tile the
-column set, which is checked incrementally; BB = J forces BJ = JB, hence
-every row and column sum equals sqrt(n) and the trace is sqrt(n), so loops
-can be pinned to the first sqrt(n) indices.  The relabelings that keep the
-loops first, Sym(0..m-1) x Sym(m..n-1), then act on the solutions, and the
-isomorphism classes are their orbits.
+Every rectangular search, the band blow-ups included, runs through one
+placement engine, ``_placements``: it fills given cells of a partial table
+and keeps each symbol's cells a rectangle at every step.  The central
+search works on the matrix model: row i's out-neighbours must index rows
+that tile the column set, which is checked incrementally; BB = J forces
+BJ = JB, hence every row and column sum equals sqrt(n) and the trace is
+sqrt(n), so loops can be pinned to the first sqrt(n) indices.  The
+relabelings that keep the loops first, Sym(0..m-1) x Sym(m..n-1), then act
+on the solutions, and the isomorphism classes are their orbits.
 
-Both isomorphism censuses deduplicate by orbit absorption (``_orbit_firsts``,
+Every class census deduplicates by orbit absorption (``_orbit_firsts``,
 after McKay, "Isomorph-free exhaustive generation", 1998): the labeled
 solutions are sorted, and each one that no earlier orbit has claimed starts
-a new class, whose every relabeling is looked up in the sorted list and
-marked.  The rectangular tables of an order are closed under relabeling, so
-the first member of each orbit is its least relabeling, the canonical form.
+a new class, whose every image is looked up in the sorted list and marked.
+Permuting rows, columns and symbols independently maps rectangles to
+rectangles, so the rectangular tables of an order are closed under isotopy
+as well as relabeling; the first member of each isomorphism or isotopy
+orbit is the least table of its class.
 The central search runs one first row per orbit of first rows under the
 relabelings that fix index 0; the number of other loops a first row holds
 names its orbit, so there are m shards instead of C(n-1, m-1).  Every class
@@ -30,12 +33,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, isqrt
 
 from .construct import rectangular_band
 from .core import CapacityError, Groupoid, bits_of, make_groupoid, mask_of, two_step_middles
-from .isotopy import are_isotopic
 from .properties import is_rectangular
 
 RECT_LIST_BOUND = 3       # full labeled listing
@@ -82,22 +84,29 @@ def _can_place(n, table, filled, row_masks, col_masks, r, c, y) -> bool:
     return True
 
 
-def _rect_flats(n: int, first_value: int | None = None):
-    """Yield every rectangular order-n table as a flat tuple, in lex order."""
-    table = [[-1] * n for _ in range(n)]
+def _placements(table: list[list[int]], cells: list[tuple[int, int]], options: list):
+    """Fill cells[k] of the partial table from options[k], in order, keeping
+    every symbol's rectangle consistent; -1 marks an empty cell.
+
+    Yields the table itself, filled in place, once per complete filling.
+    """
+    n = len(table)
     filled = [0] * n
     row_masks = [0] * n
     col_masks = [0] * n
-    cells = [(r, c) for r in range(n) for c in range(n)]
-    total = n * n
+    for r, row in enumerate(table):
+        for c, y in enumerate(row):
+            if y >= 0:
+                filled[r] |= 1 << c
+                row_masks[y] |= 1 << r
+                col_masks[y] |= 1 << c
 
     def dfs(idx):
-        if idx == total:
-            yield tuple(table[r][c] for r, c in cells)
+        if idx == len(cells):
+            yield table
             return
         r, c = cells[idx]
-        options = (first_value,) if idx == 0 and first_value is not None else range(n)
-        for y in options:
+        for y in options[idx]:
             if not _can_place(n, table, filled, row_masks, col_masks, r, c, y):
                 continue
             old_rm, old_cm = row_masks[y], col_masks[y]
@@ -113,19 +122,28 @@ def _rect_flats(n: int, first_value: int | None = None):
     yield from dfs(0)
 
 
+def _rect_flats(n: int, firsts):
+    """Yield every rectangular order-n table whose entry 0*0 is in firsts,
+    as a flat tuple, in lex order."""
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    options = [firsts] + [range(n)] * (n * n - 1)
+    for table in _placements([[-1] * n for _ in range(n)], cells, options):
+        yield tuple([y for row in table for y in row])
+
+
 def iter_rectangular_tables(n: int):
     """Stream every rectangular groupoid of order n in lex table order."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n > ITER_BOUND:
         raise CapacityError(f"streaming bound is order {ITER_BOUND}")
-    for flat in _rect_flats(n):
+    for flat in _rect_flats(n, range(n)):
         yield make_groupoid(n, flat)
 
 
 def _rect_worker(args: tuple[int, int]) -> list[tuple[int, ...]]:
     n, v = args
-    return list(_rect_flats(n, first_value=v))
+    return list(_rect_flats(n, (v,)))
 
 
 def _map_shards(worker, shards: list, jobs: int) -> list:
@@ -139,14 +157,14 @@ def _map_shards(worker, shards: list, jobs: int) -> list:
     return [worker(s) for s in shards]
 
 
-def _orbit_firsts(items: list, relabelings) -> list:
+def _orbit_firsts(items: list, images) -> list:
     """The first member of each orbit met in a walk over the sorted list
-    items; relabelings(item) yields the item's whole orbit.
+    items; images(item) yields the item's whole orbit.
 
     Each time the walk meets an item no earlier orbit has claimed, every
-    relabeling of it is looked up in items by bisection and marked, so the
-    relabelings are computed once per orbit, not once per item.
-    Relabelings missing from items are ignored.
+    image of it is looked up in items by bisection and marked, so the
+    images are computed once per orbit, not once per item.  Images missing
+    from items are ignored.
     """
     seen = bytearray(len(items))
     firsts = []
@@ -154,27 +172,24 @@ def _orbit_firsts(items: list, relabelings) -> list:
         if seen[i]:
             continue
         firsts.append(item)
-        for image in relabelings(item):
+        for image in images(item):
             j = bisect_left(items, image)
             if j < len(items) and items[j] == image:
                 seen[j] = 1
     return firsts
 
 
-def _table_relabelings(n: int):
-    """The relabelings of a flat order-n table: relabel(g, sigma) for
-    every sigma, as flat tuples."""
-    moves = []
-    for sigma in permutations(range(n)):
-        inv = [0] * n
-        for i, v in enumerate(sigma):
-            inv[v] = i
-        moves.append((sigma, [inv[a] * n + inv[b] for a in range(n) for b in range(n)]))
+def _table_images(n: int, triples: list):
+    """The isotopes of a flat order-n table under each (alpha, beta, gamma)
+    in triples, as flat tuples: entry (alpha(a), beta(b)) of an image is
+    gamma(a*b).  The triples (s, s, s) give the relabelings."""
+    moves = [(gamma, [alpha.index(a) * n + beta.index(b) for a in range(n) for b in range(n)])
+             for alpha, beta, gamma in triples]
 
-    def relabelings(flat):
-        for sigma, source in moves:
-            yield tuple([sigma[flat[k]] for k in source])
-    return relabelings
+    def images(flat):
+        for gamma, source in moves:
+            yield tuple([gamma[flat[k]] for k in source])
+    return images
 
 
 def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> CensusResult:
@@ -182,7 +197,14 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
 
     mode "labeled": all tables (listed up to order 3, counted at order 4).
     mode "isomorphism": canonical class representatives, order <= 4.
-    mode "isotopy": isomorphism classes merged along isotopies, order <= 3.
+    mode "isotopy": the least table of each isotopy class, order <= 3.
+
+    Every mode runs the one placement engine, ``_placements``, sharded on
+    the first cell.  Permuting rows, columns and symbols independently maps
+    each symbol's rectangle to a rectangle, so the labeled tables are closed
+    under isotopy as well as under relabeling; both class modes therefore
+    absorb orbits over the sorted tables, and each orbit's first member is
+    the least table of its class.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -205,23 +227,11 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
         return CensusResult(n, mode, len(flats),
                             tuple(make_groupoid(n, f) for f in flats))
 
-    # flats is sorted and closed under relabeling, so the first member of
-    # each orbit is its least relabeling: canonical_form of the class
-    groupoids = [make_groupoid(n, f) for f in _orbit_firsts(flats, _table_relabelings(n))]
-    if mode == "isomorphism":
-        return CensusResult(n, mode, len(groupoids), tuple(groupoids))
-
-    classes: list[list[Groupoid]] = []
-    for g in groupoids:
-        for cls in classes:
-            if are_isotopic(cls[0], g) is not None:
-                cls.append(g)
-                break
-        else:
-            classes.append([g])
-    picks = sorted((min(cls, key=Groupoid.flat) for cls in classes),
-                   key=Groupoid.flat)
-    return CensusResult(n, mode, len(picks), tuple(picks))
+    perms = list(permutations(range(n)))
+    triples = ([(s, s, s) for s in perms] if mode == "isomorphism"
+               else list(product(perms, repeat=3)))
+    tables = tuple(make_groupoid(n, f) for f in _orbit_firsts(flats, _table_images(n, triples)))
+    return CensusResult(n, mode, len(tables), tables)
 
 
 def _row_candidates(m: int) -> list[list[int]]:
@@ -239,8 +249,9 @@ def _row_candidates(m: int) -> list[list[int]]:
     return cand
 
 
-def _central_solutions(m: int, first_row: int | None = None) -> list[tuple[int, ...]]:
-    """All BB = J matrices with loops at rows 0..m-1, as bitset row tuples."""
+def _central_solutions(m: int, first_row: int) -> list[tuple[int, ...]]:
+    """All BB = J matrices with loops at rows 0..m-1 and row 0 first_row,
+    as bitset row tuples."""
     n = m * m
     full = (1 << n) - 1
     cand = _row_candidates(m)
@@ -278,9 +289,8 @@ def _central_solutions(m: int, first_row: int | None = None) -> list[tuple[int, 
             out.append(tuple(rows))  # type: ignore[arg-type]
             return
         if t in forced:
-            fmask = forced[t]
-            options = (fmask,) if fmask.bit_count() == m and diag_ok(t, fmask) else ()
-        elif t == 0 and first_row is not None:
+            options = (forced[t],)  # force() stores only rows that pass both checks
+        elif t == 0:
             options = (first_row,)
         else:
             options = cand[t]
@@ -530,38 +540,8 @@ def enumerate_band_blow_ups(n: int, m: int) -> int:
         raise CapacityError(f"band blow-up census is bounded at band order {BLOW_UP_BOUND}")
     band = rectangular_band(n, m)
     assert is_rectangular(band)
-    big = size + 1
-    e = size
-    table = [[-1] * big for _ in range(big)]
-    filled = [0] * big
-    row_masks = [0] * big
-    col_masks = [0] * big
-    for a in range(size):
-        for b in range(size):
-            y = band.table[a][b]
-            table[a][b] = y
-            filled[a] |= 1 << b
-            row_masks[y] |= 1 << a
-            col_masks[y] |= 1 << b
-    cells = [(e, y) for y in range(big)] + [(x, e) for x in range(size)]
-
-    def dfs(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        total = 0
-        for y in range(size):  # products stay inside the band
-            if not _can_place(big, table, filled, row_masks, col_masks, r, c, y):
-                continue
-            old_rm, old_cm = row_masks[y], col_masks[y]
-            table[r][c] = y
-            filled[r] |= 1 << c
-            row_masks[y] |= 1 << r
-            col_masks[y] |= 1 << c
-            total += dfs(idx + 1)
-            table[r][c] = -1
-            filled[r] &= ~(1 << c)
-            row_masks[y], col_masks[y] = old_rm, old_cm
-        return total
-
-    return dfs(0)
+    e = size  # the new element: fill its row and column around the band
+    table = [list(row) + [-1] for row in band.table] + [[-1] * (size + 1)]
+    cells = [(e, y) for y in range(size + 1)] + [(x, e) for x in range(size)]
+    # products stay inside the band
+    return sum(1 for _ in _placements(table, cells, [range(size)] * len(cells)))

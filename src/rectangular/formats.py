@@ -46,37 +46,40 @@ def _reject_trailing(lines: list[str], end: int) -> None:
             raise FormatError(i + 1, f"unexpected text after the structure: {lines[i]!r}")
 
 
-def _parse_grid_line(line_no: int, raw: str, order: int, allow_empty: bool):
-    tokens = raw.split()
-    if len(tokens) != order:
-        raise FormatError(line_no, f"expected {order} entries, got {len(tokens)}")
-    row = []
-    for col, token in enumerate(tokens):
-        if allow_empty and token == ".":
-            row.append(None)
-            continue
-        try:
-            value = int(token)
-        except ValueError:
-            raise FormatError(line_no, f"bad entry {token!r} in column {col}") from None
-        if not 0 <= value < order:
-            raise FormatError(
-                line_no, f"entry {value} out of range 0..{order - 1} in column {col}"
-            )
-        row.append(value)
-    return row
-
-
-def parse_table(text: str) -> Groupoid:
+def _parse_grid(text: str, allow_empty: bool, noun: str) -> tuple[int, tuple]:
+    """The order and rows of a symbol grid; "." marks an empty cell where
+    allow_empty holds."""
     lines = _lines(text)
     order = _parse_order(lines)
     if len(lines) < 1 + order:
-        raise FormatError(len(lines) + 1, f"expected {order} table lines")
+        raise FormatError(len(lines) + 1, f"expected {order} {noun} lines")
     rows = []
     for i in range(order):
-        rows.append(tuple(_parse_grid_line(i + 2, lines[1 + i], order, False)))
+        line_no = i + 2
+        tokens = lines[1 + i].split()
+        if len(tokens) != order:
+            raise FormatError(line_no, f"expected {order} entries, got {len(tokens)}")
+        row = []
+        for col, token in enumerate(tokens):
+            if allow_empty and token == ".":
+                row.append(None)
+                continue
+            try:
+                value = int(token)
+            except ValueError:
+                raise FormatError(line_no, f"bad entry {token!r} in column {col}") from None
+            if not 0 <= value < order:
+                raise FormatError(
+                    line_no, f"entry {value} out of range 0..{order - 1} in column {col}"
+                )
+            row.append(value)
+        rows.append(tuple(row))
     _reject_trailing(lines, 1 + order)
-    return Groupoid(order, tuple(rows))
+    return order, tuple(rows)
+
+
+def parse_table(text: str) -> Groupoid:
+    return Groupoid(*_parse_grid(text, False, "table"))
 
 
 def render_table(g: Groupoid, one_based: bool = False) -> str:
@@ -86,15 +89,7 @@ def render_table(g: Groupoid, one_based: bool = False) -> str:
 
 
 def parse_partial(text: str) -> PartialArray:
-    lines = _lines(text)
-    order = _parse_order(lines)
-    if len(lines) < 1 + order:
-        raise FormatError(len(lines) + 1, f"expected {order} array lines")
-    rows = []
-    for i in range(order):
-        rows.append(tuple(_parse_grid_line(i + 2, lines[1 + i], order, True)))
-    _reject_trailing(lines, 1 + order)
-    return PartialArray(order, tuple(rows))
+    return PartialArray(*_parse_grid(text, True, "array"))
 
 
 def render_partial(p: PartialArray, one_based: bool = False) -> str:
@@ -163,8 +158,7 @@ def parse_matrix_pair(text: str) -> tuple[BoolMatrix, BoolMatrix]:
 def render_matrix_pair(a: BoolMatrix, b: BoolMatrix) -> str:
     if a.order != b.order:
         raise ValueError(f"matrix orders differ: {a.order} vs {b.order}")
-    return (f"{a.order}\n{_render_bit_rows(a.rows, a.order)}\n\n"
-            f"{_render_bit_rows(b.rows, b.order)}\n")
+    return render_graph_pair(GraphPair(a.order, a.rows, b.rows))
 
 
 def census_json(result: CensusResult, kind: str) -> str:

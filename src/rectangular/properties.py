@@ -264,25 +264,15 @@ def derive_plus(g: Groupoid) -> Groupoid:
 
 def partial_latin_violation(p: PartialArray) -> tuple[str, int, int] | None:
     """First (axis, index, symbol) with a repeated symbol in a row or column."""
-    n = p.order
-    for i in range(n):
-        seen = 0
-        for j in range(n):
-            e = p.cells[i][j]
-            if e is None:
-                continue
-            if seen >> e & 1:
-                return ("row", i, e)
-            seen |= 1 << e
-    for j in range(n):
-        seen = 0
-        for i in range(n):
-            e = p.cells[i][j]
-            if e is None:
-                continue
-            if seen >> e & 1:
-                return ("col", j, e)
-            seen |= 1 << e
+    for axis, lines in (("row", p.cells), ("col", zip(*p.cells))):
+        for i, line in enumerate(lines):
+            seen = 0
+            for e in line:
+                if e is None:
+                    continue
+                if seen >> e & 1:
+                    return (axis, i, e)
+                seen |= 1 << e
     return None
 
 

@@ -147,6 +147,24 @@ def automorphism_count_by_idempotents(g: Groupoid) -> int:
     return count
 
 
+def isotopy_reps_by_merging(iso_reps) -> tuple[Groupoid, ...]:
+    """The least member of each isotopy class, by merging the isomorphism
+    class representatives pairwise with are_isotopic, the slow path that
+    the isotopy census's orbit absorption replaces."""
+    from rectangular.isotopy import are_isotopic
+
+    classes: list[list[Groupoid]] = []
+    for g in iso_reps:
+        for cls in classes:
+            if are_isotopic(cls[0], g) is not None:
+                cls.append(g)
+                break
+        else:
+            classes.append([g])
+    return tuple(sorted((min(cls, key=Groupoid.flat) for cls in classes),
+                        key=Groupoid.flat))
+
+
 def random_groupoid(rng, n: int) -> Groupoid:
     return Groupoid(n, tuple(tuple(rng.randrange(n) for _ in range(n))
                              for _ in range(n)))

@@ -98,6 +98,12 @@ class TestRectangular:
             slow = sorted({canonical_form(g).flat() for g in iter_rectangular_tables(n)})
             assert [g.flat() for g in _iso_reps(n)] == slow
 
+    def test_isotopy_orbits_match_the_pairwise_merge(self):
+        # isotopy orbit absorption against merging iso classes with are_isotopic
+        for n in range(1, 4):
+            assert enumerate_rectangular(n, "isotopy").tables == \
+                oracles.isotopy_reps_by_merging(_iso_reps(n))
+
     def test_isotopy_classes_are_isotopy_inequivalent(self):
         reps = enumerate_rectangular(3, "isotopy").tables
         for i, g in enumerate(reps):
@@ -133,6 +139,14 @@ class TestRectangular:
     def test_stream_matches_labeled(self):
         streamed = [g.flat() for g in iter_rectangular_tables(2)]
         assert sorted(streamed) == sorted(ORDER_2_TABLES)
+        for n in range(1, 4):
+            streamed = [g.flat() for g in iter_rectangular_tables(n)]
+            assert all(a < b for a, b in zip(streamed, streamed[1:]))
+            assert streamed == [g.flat() for g in enumerate_rectangular(n, "labeled").tables]
+        # the first-cell shards, joined, are the unsharded stream
+        shards = [f for v in range(4) for f in census._rect_flats(4, (v,))]
+        assert len(shards) == ORDER_4_LABELED
+        assert shards == [g.flat() for g in iter_rectangular_tables(4)]
         with pytest.raises(CapacityError):
             next(iter_rectangular_tables(6))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -330,6 +331,34 @@ class TestCliEnumerate:
         captured = capsys.readouterr()
         assert captured.out == "0\n"
         assert "square" in captured.err
+
+
+# sha256 of the census JSON on stdout: a change to the censuses' search or
+# deduplication must leave these bytes as they are
+CENSUS_JSON_SHA256 = {
+    ("rectangular", "labeled", 1): "f15894c5d42b056b2e0b0f83cfe2cf5f6c85be9b0f7cc9aef10a85378a115b44",
+    ("rectangular", "labeled", 2): "965b1a169e8f9d863f768e9c582448720b8027c7af5cdcce2e3a171f71e13c71",
+    ("rectangular", "labeled", 3): "8ff45573aa8a46a5f744a51ef85b9f0f1ec9d8524edb22f7d89e1304d63f038f",
+    ("rectangular", "labeled", 4): "2e03ea68e95751be0b9beab54955476d5963c915c27e639f4e73d0ae7c91b2b5",
+    ("rectangular", "iso", 1): "4a7aa705069b107614fae28c04e2e3b5136c1fad890c74ce4d657c9cba96294c",
+    ("rectangular", "iso", 2): "cac6958a7a724ff83e1ed4085c82fd20d3247be9ecf45664cbe3a9475e485f89",
+    ("rectangular", "iso", 3): "b3ef962eac3873e076812dc42a5e41ee7fbf87e662f867f8bcf7aad75b2e839d",
+    ("rectangular", "iso", 4): "03cd253ccd323540b36987fe975c70b065700cb50120317940f28acc35169165",
+    ("rectangular", "isotopy", 1): "87664878614e68b16ed5b76a49f81e29a920b70d343e4e41801b89b160507164",
+    ("rectangular", "isotopy", 2): "7ded2dfe39409fa769e08e3639f10993170b8c12332de723764d4eaa90203fdd",
+    ("rectangular", "isotopy", 3): "47d438b334696cbde9da62455bfc53931195670ae7e3190dbafcda26b8ae08b0",
+    ("central", "iso", 1): "cc80fe4f6435e92fb9497cf044a58cf121ba565769f3690cb6b8a600c899819d",
+    ("central", "iso", 4): "7adbae69032638daced0c795fd06d6fb304f0bf9c051c6c23953ed260a7a14dd",
+    ("central", "iso", 9): "6c4bc6385a4434f65175ce67e9bf815cee4f3d711d8243aa5cc85e4a70a4eb88",
+}
+
+
+@pytest.mark.parametrize("klass, up_to, order", sorted(CENSUS_JSON_SHA256))
+def test_census_json_bytes_are_pinned(capsys, klass, up_to, order):
+    assert main(["enumerate", "--class", klass, "--order", str(order),
+                 "--up-to", up_to, "--emit", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CENSUS_JSON_SHA256[klass, up_to, order]
 
 
 class TestCliIsotopyAndTransversal:

@@ -264,6 +264,10 @@ class TestPartialArrays:
     def test_latin_violation_axis(self):
         p = PartialArray(2, ((0, 0), (None, None)))
         assert partial_latin_violation(p) == ("row", 0, 0)
+        assert partial_latin_violation(PartialArray(2, ((1, None), (1, None)))) == ("col", 0, 1)
+        # rows are scanned before columns: row 2 repeats 2, column 0 repeats 1
+        both = PartialArray(3, ((1, None, None), (1, None, None), (2, None, 2)))
+        assert partial_latin_violation(both) == ("row", 2, 2)
 
     def test_blackburn_theorem_on_random_arrays(self):
         # pair-disjoint partial Latin squares always have empty opposite corners
