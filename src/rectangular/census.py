@@ -19,14 +19,13 @@ Permuting rows, columns and symbols independently maps rectangles to
 rectangles, so the rectangular tables of an order are closed under isotopy
 as well as relabeling; the first member of each isomorphism or isotopy
 orbit is the least table of its class.
-The central search runs one first row per orbit of first rows under the
-relabelings that fix index 0; the number of other loops a first row holds
-names its orbit, so there are m shards instead of C(n-1, m-1).  Every class
-has a member among their solutions, and each class's first member is
-brought to its loops-first minimum.
 
-Searches can be split over a worker pool at the first row/cell; results are
-merged and sorted, so output is identical for every worker count.
+Each census searches one first cell or one first row; symmetry gives the
+rest, so there is no worker pool (``jobs`` is checked but has no effect).
+Renaming symbols 0 and v maps the rectangular tables with 0*0 = 0 onto
+those with 0*0 = v.  No edge of a central matrix joins two loops, so its
+first rows are the loop at 0 plus m - 1 non-loops: one orbit under
+Sym(m..n-1), whose least row alone is searched.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from math import factorial, isqrt
 
 from .construct import rectangular_band
 from .core import CapacityError, Groupoid, bits_of, make_groupoid, mask_of, two_step_middles
-from .properties import is_rectangular
 
 RECT_LIST_BOUND = 3       # full labeled listing
 RECT_COUNT_BOUND = 4      # labeled counting / isomorphism classes
@@ -141,22 +139,6 @@ def iter_rectangular_tables(n: int):
         yield make_groupoid(n, flat)
 
 
-def _rect_worker(args: tuple[int, int]) -> list[tuple[int, ...]]:
-    n, v = args
-    return list(_rect_flats(n, (v,)))
-
-
-def _map_shards(worker, shards: list, jobs: int) -> list:
-    """worker applied to each shard, in order; on a pool of up to jobs
-    worker processes when jobs > 1 and there is more than one shard."""
-    if jobs > 1 and len(shards) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(shards))) as pool:
-            return pool.map(worker, shards)
-    return [worker(s) for s in shards]
-
-
 def _orbit_firsts(items: list, images) -> list:
     """The first member of each orbit met in a walk over the sorted list
     items; images(item) yields the item's whole orbit.
@@ -199,12 +181,14 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     mode "isomorphism": canonical class representatives, order <= 4.
     mode "isotopy": the least table of each isotopy class, order <= 3.
 
-    Every mode runs the one placement engine, ``_placements``, sharded on
-    the first cell.  Permuting rows, columns and symbols independently maps
-    each symbol's rectangle to a rectangle, so the labeled tables are closed
-    under isotopy as well as under relabeling; both class modes therefore
-    absorb orbits over the sorted tables, and each orbit's first member is
-    the least table of its class.
+    Every mode runs the one placement engine, ``_placements``, and only on
+    the tables with 0*0 = 0: renaming symbols 0 and v maps them one to one
+    onto the tables with 0*0 = v, so the rest are their images.  Permuting
+    rows, columns and symbols independently maps each symbol's rectangle to
+    a rectangle, so the labeled tables are closed under isotopy as well as
+    under relabeling; both class modes therefore absorb orbits over the
+    sorted tables, and each orbit's first member is the least table of its
+    class.  jobs is checked but has no effect.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -218,8 +202,12 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     if n > bound:
         raise CapacityError(f"mode {mode} is bounded at order {bound}")
 
-    parts = _map_shards(_rect_worker, [(n, v) for v in range(n)], jobs)
-    flats = sorted(f for part in parts for f in part)
+    flats = list(_rect_flats(n, (0,)))
+    first = len(flats)
+    for v in range(1, n):  # the tables with 0*0 = v: swap symbols 0 and v
+        swap = [v if y == 0 else 0 if y == v else y for y in range(n)]
+        flats.extend(tuple([swap[y] for y in flats[i]]) for i in range(first))
+    flats.sort()
     if mode == "labeled":
         if n > RECT_LIST_BOUND:
             return CensusResult(n, mode, len(flats), None,
@@ -235,14 +223,19 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
 
 
 def _row_candidates(m: int) -> list[list[int]]:
-    """Per row index: the popcount-m masks obeying the pinned-loop rule."""
+    """Per row index: the popcount-m masks obeying the pinned-loop rule.
+
+    No edge joins two loops: if i and j were loops with i -> j, then
+    i -> i -> j and i -> j -> j would be two paths.  So a loop row takes its
+    m - 1 other columns from the non-loops m..n-1 only.
+    """
     n = m * m
     cand: list[list[int]] = []
     for t in range(n):
-        others = [j for j in range(n) if j != t]
         if t < m:
-            masks = [1 << t | mask_of(rest) for rest in combinations(others, m - 1)]
+            masks = [1 << t | mask_of(rest) for rest in combinations(range(m, n), m - 1)]
         else:
+            others = [j for j in range(n) if j != t]
             masks = [mask_of(rest) for rest in combinations(others, m)]
         masks.sort()
         cand.append(masks)
@@ -370,27 +363,6 @@ def _central_solutions(m: int, first_row: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _first_row_shards(m: int) -> list[int]:
-    """One first row per orbit of the first rows under the relabelings
-    that fix index 0, Sym(1..m-1) x Sym(m..n-1).
-
-    A first row holds its loop at 0 and m - 1 other columns; the orbit is
-    set by how many k of those are loops, so the representative takes the
-    k lowest other loops and the m - 1 - k lowest non-loops.
-    """
-    return [1 | mask_of(range(1, k + 1)) | mask_of(range(m, 2 * m - 1 - k))
-            for k in range(m)]
-
-
-def _central_worker(args: tuple[int, int]) -> list[tuple[int, ...]]:
-    """Every loops-first solution with the shard's first row, unreduced.
-
-    The parent merges the shards and absorbs whole orbits, so a class
-    spread over several shards costs one orbit, not one per shard."""
-    m, first_row = args
-    return _central_solutions(m, first_row=first_row)
-
-
 def _matrix_relabelings(m: int):
     """The loops-first relabelings of a bitset-row matrix: row i and
     column j of the image are row and column p[i], p[j] of the original,
@@ -488,6 +460,10 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
 
     Orders must be perfect squares; non-squares report zero solutions.
     Order 16 is far beyond desk scale and must be requested with long_run.
+
+    Row 0 is its loop plus m - 1 non-loops (``_row_candidates``), and
+    Sym(m..n-1) moves any such row to the least one, so the search runs
+    that row alone.  jobs is checked but has no effect.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -502,8 +478,7 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     if n == 16 and not long_run:
         raise CapacityError("order 16 takes far longer than desk scale; pass long_run")
 
-    parts = _map_shards(_central_worker, [(m, fr) for fr in _first_row_shards(m)], jobs)
-    solutions = sorted(rows for part in parts for rows in part)
+    solutions = sorted(_central_solutions(m, _row_candidates(m)[0][0]))
     if factorial(m) * factorial(n - m) <= ORBIT_BOUND:
         solutions = _orbit_firsts(solutions, _matrix_relabelings(m))
     reps = {_loops_first_min(rows, m) for rows in solutions}
@@ -539,7 +514,6 @@ def enumerate_band_blow_ups(n: int, m: int) -> int:
     if size > BLOW_UP_BOUND:
         raise CapacityError(f"band blow-up census is bounded at band order {BLOW_UP_BOUND}")
     band = rectangular_band(n, m)
-    assert is_rectangular(band)
     e = size  # the new element: fill its row and column around the band
     table = [list(row) + [-1] for row in band.table] + [[-1] * (size + 1)]
     cells = [(e, y) for y in range(size + 1)] + [(x, e) for x in range(size)]

@@ -251,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--one-based", action="store_true",
                         help="display symbols and indices 1-based (files stay 0-based)")
     common.add_argument("--jobs", type=_jobs, default=1, metavar="N",
-                        help="worker count for censuses; output is identical for all N")
+                        help="accepted for compatibility; has no effect (must be at least 1)")
 
     parser = argparse.ArgumentParser(
         prog="rectangular",

@@ -87,12 +87,17 @@ def _parse_term(text: str, i: int) -> tuple[str | tuple, int]:
     """The product term starting at text[i], and the index after it.
 
     A term is a one-letter variable or a (left, right) pair; ``*`` groups
-    to the left unless parentheses say otherwise.
+    to the left unless parentheses say otherwise.  Raises ValueError where
+    no term starts.
     """
     def operand(i):
-        if text[i] == "(":
+        if text[i:i + 1] == "(":
             term, i = _parse_term(text, i + 1)
+            if text[i:i + 1] != ")":
+                raise ValueError("a '(' is not closed")
             return term, i + 1
+        if not text[i:i + 1].isalpha():
+            raise ValueError(f"a variable or '(' is due at {text[i:] or 'the end'!r}")
         return text[i], i + 1
 
     term, i = operand(i)
@@ -136,13 +141,31 @@ def _compile(term, last: str, outer: tuple, t: list, ids: list):
     return (lambda env: [t[u][v] for u, v in zip(lf(env), rf(env))]), True
 
 
+IDENTITY_LENGTH_BOUND = 200  # keeps the recursive parse and compile shallow
+
+
 @lru_cache(maxsize=None)
 def _parse_identity(identity: str) -> tuple[tuple, str, tuple]:
     """(other variables, last variable, (left term, right term)), the
-    variables taken in alphabetical order."""
-    *outer, last = sorted({ch for ch in identity if ch.isalpha()})
-    sides = tuple(_parse_term(side, 0)[0] for side in identity.split("="))
-    return tuple(outer), last, sides
+    variables taken in alphabetical order; whitespace is ignored.  Raises
+    ValueError, naming the identity, unless it is two terms joined by ``=``.
+    """
+    text = "".join(identity.split())
+    try:
+        if len(text) > IDENTITY_LENGTH_BOUND:
+            raise ValueError(f"longer than {IDENTITY_LENGTH_BOUND} characters")
+        if text.count("=") != 1:
+            raise ValueError("it needs exactly one '='")
+        sides = []
+        for side in text.split("="):
+            term, i = _parse_term(side, 0)
+            if i < len(side):
+                raise ValueError(f"{side[i]!r} after the term {side[:i]!r}")
+            sides.append(term)
+    except ValueError as exc:
+        raise ValueError(f"malformed identity {identity!r}: {exc}") from None
+    *outer, last = sorted({ch for ch in text if ch.isalpha()})
+    return tuple(outer), last, tuple(sides)
 
 
 def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:

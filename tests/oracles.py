@@ -109,6 +109,41 @@ def literal_identity_violation(name: str, g: Groupoid):
     return None
 
 
+class _Element:
+    """A symbol of a table; Python's * on two of them is the table's product."""
+
+    def __init__(self, table, value):
+        self.table, self.value = table, value
+
+    def __mul__(self, other):
+        if not isinstance(other, _Element):
+            return NotImplemented
+        return _Element(self.table, self.table[self.value][other.value])
+
+
+def identity_violation_by_eval(g: Groupoid, identity: str):
+    """The first failing tuple of product(range(n), repeat=k) over the k
+    letters of identity in alphabetical order, each side read by Python's
+    own parser with * as the table's product; None where it holds, and
+    "malformed" where Python cannot read both sides as products of letters.
+    """
+    sides = identity.split("=")
+    if len(sides) != 2:
+        return "malformed"
+    names = sorted({ch for ch in identity if ch.isalpha()})
+    for values in product(range(g.order), repeat=len(names)):
+        env = {name: _Element(g.table, v) for name, v in zip(names, values)}
+        try:
+            left, right = (eval(side, {"__builtins__": {}}, env) for side in sides)
+        except (SyntaxError, TypeError, NameError):
+            return "malformed"
+        if not (isinstance(left, _Element) and isinstance(right, _Element)):
+            return "malformed"
+        if left.value != right.value:
+            return values
+    return None
+
+
 def matmul(a: BoolMatrix, b: BoolMatrix) -> list[list[int]]:
     n = a.order
     ag, bg = a.to_grid(), b.to_grid()

@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial, isqrt
 
 import pytest
@@ -49,6 +49,19 @@ CENTRAL_9_LABELED = 15840  # loops-first solutions over all 28 first rows
 @lru_cache(maxsize=None)
 def _iso_reps(n):
     return enumerate_rectangular(n, "isomorphism").tables
+
+
+@lru_cache(maxsize=None)
+def _bb_equals_j_order_4():
+    """Every 4x4 0/1 matrix whose square is all-ones, as bitset rows."""
+    found = []
+    for code in range(1 << 16):
+        rows = [code >> (4 * i) & 15 for i in range(4)]
+        if all(sum((rows[i] >> k & 1) & (rows[k] >> j & 1)
+                   for k in range(4)) == 1
+               for i in range(4) for j in range(4)):
+            found.append(tuple(rows))
+    return found
 
 
 class TestRectangular:
@@ -150,6 +163,15 @@ class TestRectangular:
         with pytest.raises(CapacityError):
             next(iter_rectangular_tables(6))
 
+    def test_symbol_swap_maps_the_first_shard_onto_each_other(self):
+        # the census searches 0*0 = 0 only and renames symbols 0 <-> v
+        for n in range(1, 5):
+            first = list(census._rect_flats(n, (0,)))
+            for v in range(n):
+                swap = {0: v, v: 0}
+                assert sorted(tuple(swap.get(y, y) for y in f) for f in first) \
+                    == list(census._rect_flats(n, (v,)))
+
 
 @settings(max_examples=10, deadline=None, database=None)
 @given(st.integers(min_value=0))
@@ -176,14 +198,7 @@ class TestCentral:
     def test_order_four_against_brute_force(self):
         r = enumerate_central(4)
         assert r.count == CENTRAL_4_CLASSES
-        # oracle: every 4x4 0/1 matrix whose square is all-ones
-        labeled = []
-        for code in range(1 << 16):
-            rows = [code >> (4 * i) & 15 for i in range(4)]
-            if all(sum((rows[i] >> k & 1) & (rows[k] >> j & 1)
-                       for k in range(4)) == 1
-                   for i in range(4) for j in range(4)):
-                labeled.append(tuple(rows))
+        labeled = _bb_equals_j_order_4()
         assert len(labeled) == 12
         classes = set()
         for rows in labeled:
@@ -225,22 +240,34 @@ class TestCentral:
     def test_determinism(self):
         assert enumerate_central(4) == enumerate_central(4, jobs=2)
 
-    def test_first_row_shards_are_one_per_orbit(self):
-        # orbits of the first rows under Sym(1..m-1) x Sym(m..n-1), by brute
-        # force: the orbit of a row with k other loops has C(m-1, k) C(n-m, m-1-k)
+    def test_no_edge_joins_two_loops(self):
+        # i -> i -> j and i -> j -> j would be two paths; brute force at order 4
+        for rows in _bb_equals_j_order_4():
+            loops = [i for i in range(4) if rows[i] >> i & 1]
+            assert len(loops) == 2
+            assert not any(rows[i] >> j & 1 for i in loops for j in loops if i != j)
+
+    def test_first_rows_with_a_second_loop_have_no_solutions(self):
+        for m in (2, 3):
+            n = m * m
+            rows = [1 | mask_of(rest) for rest in combinations(range(1, n), m - 1)
+                    if min(rest) < m]
+            assert len(rows) == comb(n - 1, m - 1) - comb(n - m, m - 1)
+            for fr in rows:
+                assert census._central_solutions(m, fr) == []
+
+    def test_first_rows_are_one_stabilizer_orbit(self):
+        # the orbit of the least first row under Sym(1..m-1) x Sym(m..n-1),
+        # by brute force, is every candidate first row, each once
         for m in (1, 2, 3):
             n = m * m
+            first = census._row_candidates(m)[0]
             stabilizer = [(0,) + lo + hi for lo in permutations(range(1, m))
                           for hi in permutations(range(m, n))]
-            orbits = {frozenset(mask_of(p[j] for j in range(n) if row >> j & 1)
-                                for p in stabilizer)
-                      for row in census._row_candidates(m)[0]}
-            shards = census._first_row_shards(m)
-            assert [(fr & mask_of(range(1, m))).bit_count() for fr in shards] \
-                == list(range(m))
-            assert sorted(len(orbit & set(shards)) for orbit in orbits) == [1] * m
-            assert [len(next(o for o in orbits if fr in o)) for fr in shards] \
-                == [comb(m - 1, k) * comb(n - m, m - 1 - k) for k in range(m)]
+            orbit = {mask_of(p[j] for j in range(n) if first[0] >> j & 1)
+                     for p in stabilizer}
+            assert first == sorted(orbit)
+            assert len(first) == comb(n - m, m - 1)
 
     def test_order_nine_orbit_counts(self):
         m, n = 3, 9
@@ -248,26 +275,25 @@ class TestCentral:
         group = factorial(m) * factorial(n - m)  # 4320 loops-first relabelings
         assert sum(group // oracles.automorphism_count_by_idempotents(g)
                    for g in reps) == CENTRAL_9_LABELED
-        sizes = [comb(m - 1, k) * comb(n - m, m - 1 - k) for k in range(m)]
-        assert sizes == [15, 12, 1]
-        shards = [census._central_solutions(m, first_row=fr)
-                  for fr in census._first_row_shards(m)]
-        counts = [len(shard) for shard in shards]
-        assert sum(s * c for s, c in zip(sizes, counts)) == CENTRAL_9_LABELED
+        first = census._row_candidates(m)[0]
+        solutions = census._central_solutions(m, first[0])
+        assert len(first) == 15
+        assert len(first) * len(solutions) == CENTRAL_9_LABELED
         # one first member per class: each absorbed orbit holds all its solutions
-        solutions = sorted(rows for shard in shards for rows in shard)
-        assert len(census._orbit_firsts(solutions, census._matrix_relabelings(m))) == len(reps)
-        # another row of each orbit: the k highest other loops, highest non-loops
-        for k, count in enumerate(counts):
-            other = 1 | mask_of(range(m - k, m)) | mask_of(range(n - (m - 1 - k), n))
-            assert len(census._central_solutions(m, first_row=other)) == count
+        assert len(census._orbit_firsts(sorted(solutions),
+                                        census._matrix_relabelings(m))) == len(reps)
+        # another row of the orbit: the highest non-loops
+        other = 1 | mask_of(range(n - (m - 1), n))
+        assert other == first[-1]
+        assert len(census._central_solutions(m, other)) == len(solutions)
 
     def test_orbit_absorption_matches_every_first_row(self):
+        # every C(n-1, m-1) first row, those with a second loop included
         for n in (1, 4):
             m = isqrt(n)
             slow = {census._loops_first_min(rows, m)
-                    for fr in census._row_candidates(m)[0]
-                    for rows in census._central_solutions(m, first_row=fr)}
+                    for rest in combinations(range(1, n), m - 1)
+                    for rows in census._central_solutions(m, 1 | mask_of(rest))}
             tables = sorted((Groupoid(n, two_step_middles(rows, rows)[0]) for rows in slow),
                             key=Groupoid.flat)
             assert enumerate_central(n).tables == tuple(tables)

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectangular.core import (
     BoolMatrix,
@@ -14,6 +17,7 @@ from rectangular.core import (
     TRIVIAL,
     compose,
     dual_graph_pair,
+    identity_counterexample,
     make_groupoid,
     opposite,
     transpose,
@@ -172,3 +176,71 @@ def test_values_are_immutable_and_hashable():
     assert len(seen) == 2
     with pytest.raises(AttributeError):
         fx.C4.order = 5
+
+
+MALFORMED_IDENTITIES = [
+    ("(x*y=y", "a '(' is not closed"),
+    ("x*y=y)", "')' after the term 'y'"),
+    ("xy=x", "'y' after the term 'x'"),
+    ("x*", "exactly one '='"),
+    ("x*=x", "a variable or '(' is due at 'the end'"),
+    ("x=y=z", "exactly one '='"),
+    ("1*x=x", "a variable or '(' is due at '1*x'"),
+    ("x**y=x", "a variable or '(' is due at '*y'"),
+    ("x*y", "exactly one '='"),
+    ("()=x", "a variable or '(' is due at ')'"),
+    ("x" + "*x" * 100 + "=x", "longer than 200 characters"),
+]
+
+
+@pytest.mark.parametrize("identity, why", MALFORMED_IDENTITIES)
+def test_malformed_identity_is_a_value_error_naming_it(identity, why):
+    g = make_groupoid(2, [0, 1, 1, 0])
+    pattern = re.escape(f"malformed identity {identity!r}: ") + ".*" + re.escape(why)
+    with pytest.raises(ValueError, match=pattern):
+        identity_counterexample(g, identity)
+
+
+def test_identity_whitespace_is_ignored():
+    g = make_groupoid(2, [0, 0, 1, 0])
+    assert identity_counterexample(g, "x*y = y*x") == identity_counterexample(g, "x*y=y*x") \
+        == (0, 1)
+    assert identity_counterexample(g, " ( x ) * x = x ") == (1,)
+
+
+IDENTITY_TABLES = [make_groupoid(1, [0]), make_groupoid(2, [0, 0, 1, 0]),
+                   make_groupoid(3, [1, 2, 0, 0, 0, 2, 2, 1, 1])]
+
+
+IDENTITY_ALPHABET = "xyz*()= 1"
+_terms = st.recursive(
+    st.sampled_from("xyz"),
+    lambda inner: st.tuples(inner, inner, st.booleans()).map(
+        lambda t: f"({t[0]}*{t[1]})" if t[2] else f"{t[0]} * {t[1]}"),
+    max_leaves=6)
+
+
+@st.composite
+def _near_identities(draw):
+    """A well-formed identity with up to two characters inserted or deleted."""
+    text = draw(st.tuples(_terms, _terms).map("=".join))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + draw(st.sampled_from(IDENTITY_ALPHABET)) + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.text(alphabet=IDENTITY_ALPHABET, max_size=40) | _near_identities())
+def test_any_identity_string_evaluates_or_is_a_value_error(identity):
+    # against Python's own parser reading * as the table's product
+    for g in IDENTITY_TABLES:
+        want = oracles.identity_violation_by_eval(g, identity)
+        if want == "malformed":
+            with pytest.raises(ValueError, match="malformed identity"):
+                identity_counterexample(g, identity)
+        else:
+            assert identity_counterexample(g, identity) == want
