@@ -203,10 +203,10 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
         raise CapacityError(f"mode {mode} is bounded at order {bound}")
 
     flats = list(_rect_flats(n, (0,)))
-    first = len(flats)
+    base = len(flats)
     for v in range(1, n):  # the tables with 0*0 = v: swap symbols 0 and v
         swap = [v if y == 0 else 0 if y == v else y for y in range(n)]
-        flats.extend(tuple([swap[y] for y in flats[i]]) for i in range(first))
+        flats.extend(tuple([swap[y] for y in flats[i]]) for i in range(base))
     flats.sort()
     if mode == "labeled":
         if n > RECT_LIST_BOUND:

@@ -175,7 +175,7 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
 
     Each side is compiled once per call into closures that, for fixed
     values of the other variables, compute the side as a list over the last
-    variable.
+    variable.  A malformed identity raises ValueError.
     """
     outer, last, sides = _parse_identity(identity)
     t = [list(row) for row in g.table]
