@@ -18,7 +18,8 @@ a new class, whose every image is looked up in the sorted list and marked.
 Permuting rows, columns and symbols independently maps rectangles to
 rectangles, so the rectangular tables of an order are closed under isotopy
 as well as relabeling; the first member of each isomorphism or isotopy
-orbit is the least table of its class.
+orbit is the least table of its class.  The images are isotopes by
+``core.flat_isotopes``, h(a, b) = gamma^-1(g(alpha(a), beta(b))).
 
 Each census searches one first cell or one first row; symmetry gives the
 rest, so there is no worker pool (``jobs`` is checked but has no effect).
@@ -36,7 +37,15 @@ from itertools import combinations, permutations, product
 from math import factorial, isqrt
 
 from .construct import rectangular_band
-from .core import CapacityError, Groupoid, bits_of, make_groupoid, mask_of, two_step_middles
+from .core import (
+    CapacityError,
+    Groupoid,
+    bits_of,
+    flat_isotopes,
+    make_groupoid,
+    mask_of,
+    two_step_middles,
+)
 
 RECT_LIST_BOUND = 3       # full labeled listing
 RECT_COUNT_BOUND = 4      # labeled counting / isomorphism classes
@@ -49,7 +58,7 @@ BLOW_UP_BOUND = 12
 
 @dataclass(frozen=True)
 class CensusResult:
-    order: int
+    order: int | tuple[int, int]  # a band blow-up census gives the band's sides
     mode: str
     count: int
     tables: tuple[Groupoid, ...] | None
@@ -161,19 +170,6 @@ def _orbit_firsts(items: list, images) -> list:
     return firsts
 
 
-def _table_images(n: int, triples: list):
-    """The isotopes of a flat order-n table under each (alpha, beta, gamma)
-    in triples, as flat tuples: entry (alpha(a), beta(b)) of an image is
-    gamma(a*b).  The triples (s, s, s) give the relabelings."""
-    moves = [(gamma, [alpha.index(a) * n + beta.index(b) for a in range(n) for b in range(n)])
-             for alpha, beta, gamma in triples]
-
-    def images(flat):
-        for gamma, source in moves:
-            yield tuple([gamma[flat[k]] for k in source])
-    return images
-
-
 def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> CensusResult:
     """Census of rectangular groupoids of order n.
 
@@ -181,14 +177,10 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     mode "isomorphism": canonical class representatives, order <= 4.
     mode "isotopy": the least table of each isotopy class, order <= 3.
 
-    Every mode runs the one placement engine, ``_placements``, and only on
-    the tables with 0*0 = 0: renaming symbols 0 and v maps them one to one
-    onto the tables with 0*0 = v, so the rest are their images.  Permuting
-    rows, columns and symbols independently maps each symbol's rectangle to
-    a rectangle, so the labeled tables are closed under isotopy as well as
-    under relabeling; both class modes therefore absorb orbits over the
-    sorted tables, and each orbit's first member is the least table of its
-    class.  jobs is checked but has no effect.
+    Every mode searches only the tables with 0*0 = 0 and gets the rest by
+    renaming symbols 0 and v; the class modes absorb the orbits of the
+    isotope kernel over the sorted tables, as the module docstring says.
+    jobs is checked but has no effect.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -218,7 +210,7 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     perms = list(permutations(range(n)))
     triples = ([(s, s, s) for s in perms] if mode == "isomorphism"
                else list(product(perms, repeat=3)))
-    tables = tuple(make_groupoid(n, f) for f in _orbit_firsts(flats, _table_images(n, triples)))
+    tables = tuple(make_groupoid(n, f) for f in _orbit_firsts(flats, flat_isotopes(n, triples)))
     return CensusResult(n, mode, len(tables), tables)
 
 

@@ -68,6 +68,8 @@ def _cmd_check(args) -> int:
         return 0
     print("false")
     shown = _shift(witness, 1 if args.one_based else 0)
+    if args.property in ("p2", "p4", "matrix-symmetric"):  # ends in a path count
+        shown = shown[:-1] + witness[-1:]
     print(f"witness: {shown}")
     return 1
 
@@ -166,28 +168,22 @@ def _cmd_enumerate(args) -> int:
     if kind == "band-blowups":
         if second is None:
             raise ValueError("band-blowups needs --order NxM (band side sizes)")
+        if args.up_to not in (None, "labeled"):
+            raise ValueError("band-blowups is a labeled count; --up-to must be labeled")
         count = census.enumerate_band_blow_ups(order, second)
-        if args.emit == "json":
-            sys.stdout.write(
-                '{"order": [%d, %d], "class": "band-blowups", '
-                '"mode": "labeled", "count": %d, "tables": null}\n'
-                % (order, second, count)
-            )
-        elif args.emit == "tables":
+        if args.emit == "tables":
             raise ValueError("band-blowups emits counts only")
-        else:
-            print(count)
-        return 0
-    if second is not None:
+        result = census.CensusResult((order, second), "labeled", count, None)
+    elif second is not None:
         raise ValueError(f"class {kind} takes a single order, got {args.order!r}")
-    if kind == "central":
-        if args.up_to != "iso":
+    elif kind == "central":
+        if args.up_to not in (None, "iso"):
             raise ValueError("central census is always up to isomorphism")
         result = census.enumerate_central(order, long_run=args.long_run,
                                           jobs=args.jobs)
     else:
         mode = {"labeled": "labeled", "iso": "isomorphism",
-                "isotopy": "isotopy"}[args.up_to]
+                "isotopy": "isotopy"}[args.up_to or "iso"]
         result = census.enumerate_rectangular(order, mode=mode, jobs=args.jobs)
 
     if args.emit == "count":
@@ -315,8 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("rectangular", "central", "band-blowups"))
     p_enum.add_argument("--order", required=True,
                         help="N, or NxM for band-blowups")
-    p_enum.add_argument("--up-to", dest="up_to", default="iso",
-                        choices=("labeled", "iso", "isotopy"))
+    p_enum.add_argument("--up-to", dest="up_to", choices=("labeled", "iso", "isotopy"),
+                        help="iso by default; band-blowups takes labeled only")
     p_enum.add_argument("--long-run", dest="long_run", action="store_true",
                         help="allow the order-16 central census")
     p_enum.add_argument("--emit", default="count",

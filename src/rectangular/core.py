@@ -7,8 +7,12 @@ predicates reduce to AND + popcount.  Every type is frozen; all operations in
 the package are pure functions and safe to call concurrently.
 
 The kernels every layer shares live here too: the two-step path count
-(``two_step_middles``), the symbols of each line (``line_symbol_sets``) and
-the identity evaluator (``identity_counterexample``).
+(``two_step_middles``), the symbols of each line (``line_symbol_sets``), the
+identity evaluator (``identity_counterexample``), the model conversions
+(``groupoid_to_graph_pair``, ``graph_pair_to_groupoid``,
+``graph_pair_to_matrices``, ``matrices_to_graph_pair``) and the isotope
+kernel (``flat_isotopes``), which states the one isotopy convention
+h(a, b) = gamma^-1(g(alpha(a), beta(b))).
 """
 
 from __future__ import annotations
@@ -81,6 +85,48 @@ def two_step_middles(
             return None, (a, b, count)
         table.append(tuple(mids))
     return tuple(table), None
+
+
+def groupoid_to_graph_pair(g: Groupoid) -> GraphPair:
+    """Red edges (a, a*b); green edges (a*b, b)."""
+    red, green_cols = line_symbol_sets(g.table)
+    return GraphPair(g.order, tuple(red), transpose_bits(green_cols, g.order))
+
+
+def graph_pair_to_groupoid(gp: GraphPair) -> Groupoid:
+    """a*b = the middle node of the unique red-green path from a to b."""
+    table, bad = two_step_middles(gp.red, gp.green)
+    if bad is not None:
+        a, b, k = bad
+        raise ValueError(f"not a unique-path pair: ({a},{b}) has {k} red-green paths")
+    return Groupoid(gp.order, table)
+
+
+def graph_pair_to_matrices(gp: GraphPair) -> tuple[BoolMatrix, BoolMatrix]:
+    return BoolMatrix(gp.order, gp.red), BoolMatrix(gp.order, gp.green)
+
+
+def matrices_to_graph_pair(a: BoolMatrix, b: BoolMatrix) -> GraphPair:
+    if a.order != b.order:
+        raise ValueError(f"matrix orders differ: {a.order} vs {b.order}")
+    return GraphPair(a.order, a.rows, b.rows)
+
+
+def flat_isotopes(n: int, triples):
+    """The isotope kernel: a function yielding the isotopes of a flat
+    (row-major) order-n table g under each (alpha, beta, gamma) of image
+    sequences in triples, as flat tuples h in the one convention
+
+        h(a, b) = gamma^-1( g(alpha(a), beta(b)) )
+    """
+    moves = [(sorted(range(n), key=gamma.__getitem__),  # gamma^-1
+              [alpha[a] * n + beta[b] for a in range(n) for b in range(n)])
+             for alpha, beta, gamma in triples]
+
+    def images(flat):
+        for gamma_inv, source in moves:
+            yield tuple([gamma_inv[flat[k]] for k in source])
+    return images
 
 
 def _parse_term(text: str, i: int) -> tuple[str | tuple, int]:
@@ -450,9 +496,9 @@ class Partition:
         for block in blocks:
             if not block:
                 raise ValueError("empty block in partition")
-            bmask = mask_of(block)
-            if bmask >= 1 << self.order:
+            if block[0] < 0 or block[-1] >= self.order:
                 raise ValueError(f"block {block} has elements outside 0..{self.order - 1}")
+            bmask = mask_of(block)
             if bmask & seen:
                 raise ValueError(f"block {block} overlaps another block")
             seen |= bmask

@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import json
 
-from .census import CensusResult
-from .core import BoolMatrix, GraphPair, Groupoid, PartialArray, bits_of
+from .core import (
+    BoolMatrix,
+    GraphPair,
+    Groupoid,
+    PartialArray,
+    graph_pair_to_matrices,
+    matrices_to_graph_pair,
+)
 
 
 class FormatError(ValueError):
@@ -151,17 +157,15 @@ def render_matrix(m: BoolMatrix) -> str:
 
 def parse_matrix_pair(text: str) -> tuple[BoolMatrix, BoolMatrix]:
     """Two matrices in the paired two-grid layout (same as graph pairs)."""
-    gp = parse_graph_pair(text)
-    return BoolMatrix(gp.order, gp.red), BoolMatrix(gp.order, gp.green)
+    return graph_pair_to_matrices(parse_graph_pair(text))
 
 
 def render_matrix_pair(a: BoolMatrix, b: BoolMatrix) -> str:
-    if a.order != b.order:
-        raise ValueError(f"matrix orders differ: {a.order} vs {b.order}")
-    return render_graph_pair(GraphPair(a.order, a.rows, b.rows))
+    return render_graph_pair(matrices_to_graph_pair(a, b))
 
 
-def census_json(result: CensusResult, kind: str) -> str:
+def census_json(result, kind: str) -> str:
+    """The JSON of a census.CensusResult; band blow-ups give order (n, m)."""
     payload = {
         "order": result.order,
         "class": kind,

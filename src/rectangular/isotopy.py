@@ -1,12 +1,13 @@
 """Isotopy application and search, isomorphism via canonical forms,
 transversal search, and the transversal <-> idempotent-isotope link.
 
-Orientation convention: a witness (alpha, beta, gamma) maps g to h via
+Orientation convention, the one of the isotope kernel ``core.flat_isotopes``:
+a witness (alpha, beta, gamma) maps g to h via
 
     h(a, b) = gamma^-1( g(alpha(a), beta(b)) )
 
 so the identity triple is the identity isotopy and componentwise inversion
-inverts a witness.
+inverts a witness.  Relabeling by sigma is the triple (sigma^-1, sigma^-1, sigma^-1).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .core import (
     Permutation,
     Transversal,
     compose,
+    flat_isotopes,
     make_groupoid,
 )
 
@@ -30,14 +32,8 @@ CANONICAL_FORM_BOUND = 9
 def apply_isotopy(g: Groupoid, t: IsotopyTriple) -> Groupoid:
     if t.order != g.order:
         raise ValueError(f"triple order {t.order} differs from groupoid order {g.order}")
-    n = g.order
-    a_img, b_img = t.alpha.images, t.beta.images
-    g_inv = t.gamma.inverse().images
-    table = tuple(
-        tuple(g_inv[g.table[a_img[a]][b_img[b]]] for b in range(n))
-        for a in range(n)
-    )
-    return Groupoid(n, table)
+    images = flat_isotopes(g.order, [(t.alpha.images, t.beta.images, t.gamma.images)])
+    return make_groupoid(g.order, next(images(g.flat())))
 
 
 def are_isotopic(g: Groupoid, h: Groupoid) -> IsotopyTriple | None:
@@ -88,14 +84,8 @@ def relabel(g: Groupoid, sigma: Permutation) -> Groupoid:
     """Rename rows, columns and symbols simultaneously by sigma."""
     if sigma.order != g.order:
         raise ValueError("permutation order differs from groupoid order")
-    n = g.order
-    inv = sigma.inverse().images
-    img = sigma.images
-    table = tuple(
-        tuple(img[g.table[inv[a]][inv[b]]] for b in range(n))
-        for a in range(n)
-    )
-    return Groupoid(n, table)
+    inv = sigma.inverse()
+    return apply_isotopy(g, IsotopyTriple(inv, inv, inv))
 
 
 def _min_relabeling(g: Groupoid) -> tuple[tuple[int, ...], Permutation]:

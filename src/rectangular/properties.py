@@ -12,12 +12,11 @@ Most predicates are one of three computations:
   associativity.  Its variables are scanned in alphabetical order, the last
   one fastest, so the witness is the lexicographically first failing tuple.
 * Unique two-step paths (p2, p4, matrix symmetry and ``derive_plus``) go
-  through ``core.two_step_middles``, which transform's graph-pair to
-  groupoid map shares.
+  through ``core.two_step_middles``, on graph pairs from ``core``'s model
+  conversions.
 * The symbols of each row and column, ``core.line_symbol_sets``, give the
   symbols that share a line with each symbol (pair-disjointness of full and
-  partial arrays, maximality) and a table's graph pair (matrix symmetry,
-  ``derive_plus``, transform's groupoid to graph-pair map).
+  partial arrays, maximality).
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ from .core import (
     Partition,
     PartialArray,
     bits_of,
+    groupoid_to_graph_pair,
     identity_counterexample,
     line_symbol_sets,
-    transpose_bits,
+    matrices_to_graph_pair,
     two_step_middles,
 )
 
@@ -116,9 +116,7 @@ def satisfies_p2(gp: GraphPair) -> bool:
 
 def p4_violation(a: BoolMatrix, b: BoolMatrix) -> tuple[int, int, int] | None:
     """First (i, j, value) where the integer product entry differs from 1."""
-    if a.order != b.order:
-        raise ValueError(f"matrix orders differ: {a.order} vs {b.order}")
-    return two_step_middles(a.rows, b.rows)[1]
+    return p2_violation(matrices_to_graph_pair(a, b))
 
 
 def satisfies_p4(a: BoolMatrix, b: BoolMatrix) -> bool:
@@ -232,11 +230,9 @@ def matrix_symmetry_violation(g: Groupoid) -> tuple[str, int, int, int] | None:
 
     Direction "red-green" corresponds to the product AB, "green-red" to BA.
     """
-    # red: the symbols of each row; green: the columns of each symbol
-    red, col_sets = line_symbol_sets(g.table)
-    green = transpose_bits(col_sets, g.order)
-    for direction, first, second in (("red-green", red, green),
-                                     ("green-red", green, red)):
+    gp = groupoid_to_graph_pair(g)
+    for direction, first, second in (("red-green", gp.red, gp.green),
+                                     ("green-red", gp.green, gp.red)):
         bad = two_step_middles(first, second)[1]
         if bad is not None:
             return (direction, *bad)
@@ -254,8 +250,8 @@ def derive_plus(g: Groupoid) -> Groupoid:
     Requires ``is_matrix_symmetric(g)``; together the two operations satisfy
     (a*b)+(b*c) = b and (a+b)*(b+c) = b.
     """
-    red, col_sets = line_symbol_sets(g.table)
-    table, bad = two_step_middles(transpose_bits(col_sets, g.order), red)
+    gp = groupoid_to_graph_pair(g)
+    table, bad = two_step_middles(gp.green, gp.red)
     if bad is not None:
         a, b, k = bad
         raise ValueError(f"not matrix-symmetric: pair ({a},{b}) has {k} green-red paths")

@@ -1,21 +1,21 @@
 """Conversions between the four models, plus quotient, product, subalgebra
 and the square lift.
 
-The groupoid <-> graph-pair maps are exact inverses on rectangular input;
-graph_pair_to_groupoid validates the unique-path property while extracting
-and fails fast with the offending pair.
+The four model conversions live in ``core``.  The groupoid <-> graph-pair
+maps are exact inverses on rectangular input; graph_pair_to_groupoid
+validates the unique-path property while extracting and fails fast with
+the offending pair.
 """
 
 from __future__ import annotations
 
-from .core import (
-    BoolMatrix,
-    GraphPair,
+from .core import (  # noqa: F401  (the conversions are re-exported)
     Groupoid,
     Partition,
-    line_symbol_sets,
-    transpose_bits,
-    two_step_middles,
+    graph_pair_to_groupoid,
+    graph_pair_to_matrices,
+    groupoid_to_graph_pair,
+    matrices_to_graph_pair,
 )
 from .properties import congruence_violation
 
@@ -26,31 +26,6 @@ class ClosureError(ValueError):
     def __init__(self, a: int, b: int, product: int):
         super().__init__(f"subset not closed: {a}*{b} = {product} escapes")
         self.witness = (a, b, product)
-
-
-def groupoid_to_graph_pair(g: Groupoid) -> GraphPair:
-    """Red edges (a, a*b); green edges (a*b, b)."""
-    red, green_cols = line_symbol_sets(g.table)
-    return GraphPair(g.order, tuple(red), transpose_bits(green_cols, g.order))
-
-
-def graph_pair_to_groupoid(gp: GraphPair) -> Groupoid:
-    """a*b = the middle node of the unique red-green path from a to b."""
-    table, bad = two_step_middles(gp.red, gp.green)
-    if bad is not None:
-        a, b, k = bad
-        raise ValueError(f"not a unique-path pair: ({a},{b}) has {k} red-green paths")
-    return Groupoid(gp.order, table)
-
-
-def graph_pair_to_matrices(gp: GraphPair) -> tuple[BoolMatrix, BoolMatrix]:
-    return BoolMatrix(gp.order, gp.red), BoolMatrix(gp.order, gp.green)
-
-
-def matrices_to_graph_pair(a: BoolMatrix, b: BoolMatrix) -> GraphPair:
-    if a.order != b.order:
-        raise ValueError(f"matrix orders differ: {a.order} vs {b.order}")
-    return GraphPair(a.order, a.rows, b.rows)
 
 
 def quotient(g: Groupoid, p: Partition) -> Groupoid:

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectangular import fixtures as fx
 from rectangular.cli import main
@@ -23,6 +24,8 @@ from rectangular.formats import (
 from rectangular.transform import groupoid_to_graph_pair
 
 import oracles
+
+from test_transform import graph_pairs, tables
 
 X4_TEXT = "4\n0 0 1 1\n2 2 3 3\n2 2 3 3\n0 0 1 1\n"
 B3_TEXT = "3\n. 0 2\n0 . 1\n2 1 .\n"
@@ -104,6 +107,42 @@ class TestGraphAndMatrixFormats:
     def test_bad_characters(self):
         with pytest.raises(FormatError, match="0/1"):
             parse_graph_pair("2\n12\n01\n\n10\n01\n")
+
+
+@st.composite
+def partial_arrays(draw, max_order=6):
+    n = draw(st.integers(1, max_order))
+    cell = st.none() | st.integers(0, n - 1)
+    rows = st.lists(cell, min_size=n, max_size=n).map(tuple)
+    return PartialArray(n, tuple(draw(st.lists(rows, min_size=n, max_size=n))))
+
+
+ROUND_TRIP = settings(max_examples=200, deadline=None, database=None)
+
+
+@ROUND_TRIP
+@given(tables())
+def test_table_text_round_trips(g):
+    assert parse_table(render_table(g)) == g
+
+
+@ROUND_TRIP
+@given(partial_arrays())
+def test_partial_array_text_round_trips(p):
+    assert parse_partial(render_partial(p)) == p
+
+
+@ROUND_TRIP
+@given(graph_pairs())
+def test_graph_pair_text_round_trips(gp):
+    assert parse_graph_pair(render_graph_pair(gp)) == gp
+
+
+@ROUND_TRIP
+@given(graph_pairs())
+def test_matrix_pair_text_round_trips(gp):
+    pair = (BoolMatrix(gp.order, gp.red), BoolMatrix(gp.order, gp.green))
+    assert parse_matrix_pair(render_matrix_pair(*pair)) == pair
 
 
 PAIR_TEXT = "2\n10\n01\n\n10\n01\n"
@@ -189,6 +228,31 @@ class TestCliCheck:
         assert "(3, 2, 2)" in capsys.readouterr().out
 
 
+    # the last entry of a p2, p4 or matrix-symmetric witness is a path
+    # count, which --one-based must leave as it is
+    def test_one_based_p2_witness_keeps_its_path_count(self, capsys, table_file):
+        path = table_file("id2.gp", PAIR_TEXT)
+        assert main(["check", "--property", "p2", path]) == 1
+        assert capsys.readouterr().out == "false\nwitness: (0, 1, 0)\n"
+        assert main(["check", "--property", "p2", "--one-based", path]) == 1
+        assert capsys.readouterr().out == "false\nwitness: (1, 2, 0)\n"
+
+    def test_one_based_p4_witness_keeps_its_path_count(self, capsys, table_file):
+        path = table_file("id2.mat", PAIR_TEXT)
+        assert main(["check", "--property", "p4", path]) == 1
+        assert capsys.readouterr().out == "false\nwitness: (0, 1, 0)\n"
+        assert main(["check", "--property", "p4", "--one-based", path]) == 1
+        assert capsys.readouterr().out == "false\nwitness: (1, 2, 0)\n"
+
+    def test_one_based_matrix_symmetric_witness_keeps_its_path_count(self, capsys,
+                                                                     table_file):
+        path = table_file("c3.tbl", "3\n0 0 0\n0 0 0\n0 0 0\n")
+        assert main(["check", "--property", "matrix-symmetric", path]) == 1
+        assert capsys.readouterr().out == "false\nwitness: ('green-red', 0, 0, 3)\n"
+        assert main(["check", "--property", "matrix-symmetric", "--one-based", path]) == 1
+        assert capsys.readouterr().out == "false\nwitness: ('green-red', 1, 1, 3)\n"
+
+
 class TestCliConvert:
     def test_groupoid_to_graphpair_and_back(self, capsys, table_file):
         path = table_file("x4.tbl", X4_TEXT)
@@ -249,6 +313,12 @@ class TestCliConstruct:
         gp = parse_graph_pair(capsys.readouterr().out)
         assert gp.order == 4
 
+    def test_partition_with_a_negative_element_exit_two(self, capsys):
+        assert main(["construct", "partition", "--base", "0,-1",
+                     "--companions", "0,-1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: block (-1, 0) has elements outside 0..1\n")
+
     def test_factorization(self, capsys):
         assert main(["construct", "factorization", "--cyclic", "6",
                      "--h", "0,3", "--k", "0,1,2"]) == 0
@@ -287,6 +357,31 @@ class TestCliEnumerate:
     def test_band_blowups(self, capsys):
         assert main(["enumerate", "--class", "band-blowups", "--order", "2x2"]) == 0
         assert capsys.readouterr().out == "12\n"
+
+    def test_band_blowups_take_labeled_only(self, capsys):
+        argv = ["enumerate", "--class", "band-blowups", "--order", "2x2", "--emit", "json"]
+        assert main(argv) == 0
+        unset = capsys.readouterr().out
+        assert main(argv + ["--up-to", "labeled"]) == 0
+        assert capsys.readouterr().out == unset
+        for up_to in ("iso", "isotopy"):
+            assert main(argv + ["--up-to", up_to]) == 2
+            assert capsys.readouterr() == (
+                "", "error: band-blowups is a labeled count; --up-to must be labeled\n")
+
+    def test_up_to_defaults_to_iso_for_the_other_classes(self, capsys):
+        for klass, order in (("rectangular", "3"), ("central", "4")):
+            argv = ["enumerate", "--class", klass, "--order", order, "--emit", "json"]
+            assert main(argv) == 0
+            unset = capsys.readouterr().out
+            assert json.loads(unset)["mode"] == "isomorphism"
+            assert main(argv + ["--up-to", "iso"]) == 0
+            assert capsys.readouterr().out == unset
+        for up_to in ("labeled", "isotopy"):
+            assert main(["enumerate", "--class", "central", "--order", "4",
+                         "--up-to", up_to]) == 2
+            assert capsys.readouterr() == (
+                "", "error: central census is always up to isomorphism\n")
 
     def test_band_blowups_need_two_sides(self, capsys):
         assert main(["enumerate", "--class", "band-blowups", "--order", "4"]) == 2
@@ -350,6 +445,8 @@ CENSUS_JSON_SHA256 = {
     ("central", "iso", 1): "cc80fe4f6435e92fb9497cf044a58cf121ba565769f3690cb6b8a600c899819d",
     ("central", "iso", 4): "7adbae69032638daced0c795fd06d6fb304f0bf9c051c6c23953ed260a7a14dd",
     ("central", "iso", 9): "6c4bc6385a4434f65175ce67e9bf815cee4f3d711d8243aa5cc85e4a70a4eb88",
+    ("band-blowups", "labeled", "2x2"): "0496f7acc5b27e38ca09bb898a04efac715aea43a951dbb14e9b108b0fb7b120",
+    ("band-blowups", "labeled", "3x4"): "076c8cc412bfc3aedf23f047db503d5da8f05f993eac211ea28e71ce7fc9fecf",
 }
 
 

@@ -56,6 +56,31 @@ class TestApplyIsotopy:
         with pytest.raises(ValueError, match="differs"):
             apply_isotopy(fx.X4, IsotopyTriple.identity(5))
 
+    def test_kernel_is_the_literal_convention(self):
+        # h(a, b) = gamma^-1(g(alpha(a), beta(b))), written out cell by cell
+        rng = random.Random(35)
+        for n in range(1, 6):
+            for _ in range(100):
+                g = oracles.random_groupoid(rng, n)
+                t = random_triple(rng, n)
+                alpha, beta, gamma = t.alpha.images, t.beta.images, t.gamma.images
+                literal = [[gamma.index(g.table[alpha[a]][beta[b]]) for b in range(n)]
+                           for a in range(n)]
+                assert apply_isotopy(g, t) == make_groupoid(n, sum(literal, []))
+
+    def test_relabel_is_the_inverse_triple(self):
+        rng = random.Random(36)
+        for n in range(1, 6):
+            for _ in range(100):
+                g = oracles.random_groupoid(rng, n)
+                sigma = Permutation(oracles.random_permutation(rng, n))
+                inv = sigma.inverse()
+                h = relabel(g, sigma)
+                assert h == apply_isotopy(g, IsotopyTriple(inv, inv, inv))
+                s = sigma.images
+                assert all(h.table[s[a]][s[b]] == s[g.table[a][b]]
+                           for a in range(n) for b in range(n))
+
     def test_componentwise_inverse_round_trips(self):
         rng = random.Random(30)
         for _ in range(500):

@@ -6,6 +6,7 @@ kernel must return the middle-node table or the first pair whose plain path
 count is not 1, through every public function built on it.
 """
 
+import importlib
 import random
 
 import pytest
@@ -136,3 +137,26 @@ def test_finite_group_associativity_witness_is_the_first_literal_one():
             assert got == "table is not associative at (%d,%d,%d)" % bad
         outcomes.add(bad is None)
     assert outcomes == {True, False}
+
+
+# The functions a traced benchmark run wraps by module attribute and names
+# its spans after by __name__; every properties.*_violation is wrapped too.
+TRACED = {
+    "census": ("enumerate_central", "enumerate_rectangular", "enumerate_band_blow_ups"),
+    "formats": ("parse_table", "render_table", "parse_graph_pair", "render_graph_pair",
+                "parse_matrix_pair", "render_matrix_pair", "census_json"),
+    "transform": ("groupoid_to_graph_pair", "graph_pair_to_groupoid",
+                  "graph_pair_to_matrices", "matrices_to_graph_pair"),
+    "isotopy": ("are_isotopic", "find_transversal"),
+    "core": ("make_groupoid",),
+}
+
+
+def test_traced_functions_exist_under_their_own_names():
+    violations = [name for name in vars(properties) if name.endswith("_violation")]
+    assert {"p2_violation", "p4_violation", "matrix_symmetry_violation"} <= set(violations)
+    for module, names in {**TRACED, "properties": violations}.items():
+        mod = importlib.import_module(f"rectangular.{module}")
+        for name in names:
+            fn = getattr(mod, name)
+            assert callable(fn) and fn.__name__ == name, (module, name)

@@ -2,18 +2,22 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectangular import fixtures as fx
 from rectangular.core import (
     BoolMatrix,
     GraphPair,
+    IsotopyTriple,
     Partition,
+    Permutation,
     dual_graph_pair,
     make_groupoid,
     opposite,
 )
 from rectangular.construct import evans_central, rectangular_band
 from rectangular.census import iter_rectangular_tables
+from rectangular.isotopy import apply_isotopy
 from rectangular.properties import (
     is_associative,
     is_central,
@@ -221,3 +225,45 @@ class TestSquareLift:
                 for b in range(n * n):
                     assert proj(lift.table[a][b]) == g.table[proj(a)][proj(b)]
             assert seen == set(range(n))
+
+
+SMALL_RECTANGULAR = [g for n in (1, 2, 3) for g in iter_rectangular_tables(n)]
+
+
+@st.composite
+def tables(draw, max_order=6):
+    n = draw(st.integers(1, max_order))
+    return make_groupoid(n, draw(st.lists(st.integers(0, n - 1),
+                                          min_size=n * n, max_size=n * n)))
+
+
+@st.composite
+def rectangular_tables(draw):
+    """One of the rectangular tables of order 3 or less, or an isotope of
+    the square lift of any table of order 3 or less (orders 1, 4 and 9)."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SMALL_RECTANGULAR))
+    lift = square_lift(draw(tables(max_order=3)))
+    triple = [Permutation(tuple(draw(st.permutations(range(lift.order)))))
+              for _ in range(3)]
+    return apply_isotopy(lift, IsotopyTriple(*triple))
+
+
+@st.composite
+def graph_pairs(draw, max_order=8):
+    n = draw(st.integers(1, max_order))
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    return GraphPair(n, tuple(draw(rows)), tuple(draw(rows)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rectangular_tables())
+def test_graph_pair_of_a_rectangular_table_gives_it_back(g):
+    assert is_rectangular(g)
+    assert graph_pair_to_groupoid(groupoid_to_graph_pair(g)) == g
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(graph_pairs())
+def test_matrices_of_a_graph_pair_give_it_back(gp):
+    assert matrices_to_graph_pair(*graph_pair_to_matrices(gp)) == gp
