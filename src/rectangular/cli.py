@@ -33,18 +33,14 @@ _CHECKS = {
     "p1": ("groupoid", properties.p1_violation),
     "p2": ("graphpair", properties.p2_violation),
     "p4": ("matrices", lambda pair: properties.p4_violation(*pair)),
-    "central": ("groupoid", properties.centrality_violation),
-    "idempotent": ("groupoid", properties.idempotence_violation),
-    "associative": ("groupoid", properties.associativity_violation),
     "matrix-symmetric": ("groupoid", properties.matrix_symmetry_violation),
-    "undirected-eq": ("groupoid", properties.undirected_eq_violation),
-    "partitioned": ("groupoid", properties.partitioned_eqs_violation),
-    "dually-partitioned": ("groupoid", properties.dually_partitioned_eqs_violation),
     "full": ("groupoid", properties.fullness_violation),
     "maximal": ("groupoid", properties.maximality_violation),
     "partial-p1": ("partial", properties.partial_p1_violation),
     "partial-latin": ("partial", properties.partial_latin_violation),
     "blackburn": ("partial", properties.blackburn_violation),
+    **{name: ("groupoid", getattr(properties, row[0]))
+       for name, row in properties.NAMED_IDENTITIES.items()},
 }
 
 
@@ -93,25 +89,30 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _ints(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _ints(text: str, option: str) -> list[int]:
+    """The comma or space separated integers given to option."""
+    values = []
+    for tok in text.replace(",", " ").split():
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{option}: {tok!r} is not an integer") from None
+    return values
 
 
-def _parse_partition(text: str, order: int) -> Partition:
-    blocks = [tuple(_ints(part)) for part in text.split("|")]
+def _parse_partition(text: str, order: int, option: str) -> Partition:
+    blocks = [tuple(_ints(part, option)) for part in text.split("|")]
     return Partition(order, tuple(blocks))
 
 
 def _partition_order(text: str) -> int:
-    return sum(len(_ints(part)) for part in text.split("|"))
+    return sum(len(_ints(part, "--base")) for part in text.split("|"))
 
 
 def _construct_group(args):
     if args.cyclic is not None:
         return construct.cyclic_group(args.cyclic)
-    return construct.abelian_group(*_ints(args.abelian))
+    return construct.abelian_group(*_ints(args.abelian, "--abelian"))
 
 
 def _cmd_construct(args) -> int:
@@ -132,15 +133,15 @@ def _cmd_construct(args) -> int:
     elif kind in ("left-split", "right-split"):
         a = formats.parse_table(_read(args.file_a))
         b = formats.parse_table(_read(args.file_b))
-        f = Mapping(tuple(_ints(args.f)), b.order)
-        gm = Mapping(tuple(_ints(args.g)), a.order)
+        f = Mapping(tuple(_ints(args.f, "--f")), b.order)
+        gm = Mapping(tuple(_ints(args.g, "--g")), a.order)
         op = (construct.left_split_extension if kind == "left-split"
               else construct.right_split_extension)
         g = op(a, b, f, gm)
     elif kind == "partition":
         order = _partition_order(args.base)
-        base = _parse_partition(args.base, order)
-        companions = tuple(_parse_partition(part, order)
+        base = _parse_partition(args.base, order, "--base")
+        companions = tuple(_parse_partition(part, order, "--companions")
                            for part in args.companions.split(";"))
         gp = construct.partition_construction(PartitionSystem(base, companions))
         sys.stdout.write(formats.render_graph_pair(gp))
@@ -148,7 +149,7 @@ def _cmd_construct(args) -> int:
     else:  # factorization
         gamma = _construct_group(args)
         gp = construct.group_factorization_pair(
-            gamma, set(_ints(args.h)), set(_ints(args.k)))
+            gamma, set(_ints(args.h, "--h")), set(_ints(args.k, "--k")))
         sys.stdout.write(formats.render_graph_pair(gp))
         return 0
     sys.stdout.write(formats.render_table(g, one_based=one_based))
@@ -156,10 +157,11 @@ def _cmd_construct(args) -> int:
 
 
 def _parse_order_spec(text: str) -> tuple[int, int | None]:
-    if "x" in text:
-        a, b = text.split("x", 1)
-        return int(a), int(b)
-    return int(text), None
+    try:
+        sides = [int(side) for side in text.split("x", 1)]
+    except ValueError:
+        raise ValueError(f"--order must be N or NxM, got {text!r}") from None
+    return sides[0], (sides[1] if len(sides) > 1 else None)
 
 
 def _cmd_enumerate(args) -> int:
@@ -170,9 +172,9 @@ def _cmd_enumerate(args) -> int:
             raise ValueError("band-blowups needs --order NxM (band side sizes)")
         if args.up_to not in (None, "labeled"):
             raise ValueError("band-blowups is a labeled count; --up-to must be labeled")
-        count = census.enumerate_band_blow_ups(order, second)
         if args.emit == "tables":
             raise ValueError("band-blowups emits counts only")
+        count = census.enumerate_band_blow_ups(order, second)
         result = census.CensusResult((order, second), "labeled", count, None)
     elif second is not None:
         raise ValueError(f"class {kind} takes a single order, got {args.order!r}")
@@ -192,7 +194,7 @@ def _cmd_enumerate(args) -> int:
             print(result.note, file=sys.stderr)
     elif args.emit == "tables":
         if result.tables is None:
-            raise ValueError(result.note or "tables unavailable at this order")
+            raise CapacityError(result.note)
         chunks = [formats.render_table(g, one_based=args.one_based)
                   for g in result.tables]
         sys.stdout.write("\n".join(chunks))

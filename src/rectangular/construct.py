@@ -32,6 +32,8 @@ def _require_rectangular(g: Groupoid, what: str) -> None:
 
 def constant_groupoid(n: int, a: int) -> Groupoid:
     """Every product equals a."""
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
     if not 0 <= a < n:
         raise ValueError(f"symbol {a} out of range 0..{n - 1}")
     return Groupoid(n, tuple(tuple(a for _ in range(n)) for _ in range(n)))

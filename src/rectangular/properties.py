@@ -7,7 +7,9 @@ are what the CLI prints when a check comes out false.
 
 Most predicates are one of three computations:
 
-* An identity such as ``"(x*y)*(y*z)=y"`` is checked by one evaluator,
+* The equational predicates (idempotence, associativity, centrality and
+  the rest) come from one table, ``NAMED_IDENTITIES``, which also gives
+  their ``check`` names.  Each identity is checked by one evaluator,
   ``core.identity_counterexample``, which ``FiniteGroup`` also uses for
   associativity.  Its variables are scanned in alphabetical order, the last
   one fastest, so the witness is the lexicographically first failing tuple.
@@ -155,74 +157,48 @@ def is_maximal(g: Groupoid) -> bool:
     return maximality_violation(g) is None
 
 
-def idempotence_violation(g: Groupoid) -> tuple[int] | None:
-    return identity_counterexample(g, "a*a=a")
+# The equational properties, keyed by their ``check`` name: the name of the
+# violation, the name of the predicate, and the identities checked in turn.
+# A violation returns the first failing tuple of the first identity that
+# fails; the functions are built below and bound under these names.
+_IDEMPOTENCE = "a*a=a"
+NAMED_IDENTITIES = {
+    "idempotent": ("idempotence_violation", "is_idempotent", (_IDEMPOTENCE,)),
+    "associative": ("associativity_violation", "is_associative", ("(a*b)*c=a*(b*c)",)),
+    "central": ("centrality_violation", "is_central", ("(x*y)*(y*z)=y",)),
+    "undirected-eq": ("undirected_eq_violation", "satisfies_undirected_eq",
+                      ("(a*b)*(c*a)=a",)),
+    "partitioned": ("partitioned_eqs_violation", "satisfies_partitioned_eqs",
+                    (_IDEMPOTENCE, "(a*b)*c=a*c")),
+    "dually-partitioned": ("dually_partitioned_eqs_violation",
+                           "satisfies_dually_partitioned_eqs", (_IDEMPOTENCE, "a*(b*c)=a*c")),
+    "left-reabsorption": ("left_reabsorption_violation", "satisfies_left_reabsorption",
+                          ("a*(a*b)=a*b",)),
+    "right-reabsorption": ("right_reabsorption_violation", "satisfies_right_reabsorption",
+                           ("(a*b)*b=a*b",)),
+}
 
 
-def is_idempotent(g: Groupoid) -> bool:
-    return idempotence_violation(g) is None
+def _equational(violation_name: str, predicate_name: str, identities: tuple[str, ...]):
+    """The violation and the predicate of one row of NAMED_IDENTITIES."""
+    def violation(g: Groupoid) -> tuple[int, ...] | None:
+        for identity in identities:
+            witness = identity_counterexample(g, identity)
+            if witness is not None:
+                return witness
+        return None
+
+    def predicate(g: Groupoid) -> bool:
+        return violation(g) is None
+
+    violation.__doc__ = f"First failing tuple of {', then '.join(identities)}."
+    for fn, name in ((violation, violation_name), (predicate, predicate_name)):
+        fn.__name__ = fn.__qualname__ = name
+    return violation, predicate
 
 
-def associativity_violation(g: Groupoid) -> tuple[int, int, int] | None:
-    return identity_counterexample(g, "(a*b)*c=a*(b*c)")
-
-
-def is_associative(g: Groupoid) -> bool:
-    return associativity_violation(g) is None
-
-
-def centrality_violation(g: Groupoid) -> tuple[int, int, int] | None:
-    """First (x, y, z) with (x*y)*(y*z) != y."""
-    return identity_counterexample(g, "(x*y)*(y*z)=y")
-
-
-def is_central(g: Groupoid) -> bool:
-    return centrality_violation(g) is None
-
-
-def undirected_eq_violation(g: Groupoid) -> tuple[int, int, int] | None:
-    """First (a, b, c) with (a*b)*(c*a) != a."""
-    return identity_counterexample(g, "(a*b)*(c*a)=a")
-
-
-def satisfies_undirected_eq(g: Groupoid) -> bool:
-    return undirected_eq_violation(g) is None
-
-
-def partitioned_eqs_violation(g: Groupoid) -> tuple[int, ...] | None:
-    """Witness against {a*a = a, (a*b)*c = a*c}: (a,) or (a, b, c)."""
-    return idempotence_violation(g) or identity_counterexample(g, "(a*b)*c=a*c")
-
-
-def satisfies_partitioned_eqs(g: Groupoid) -> bool:
-    return partitioned_eqs_violation(g) is None
-
-
-def dually_partitioned_eqs_violation(g: Groupoid) -> tuple[int, ...] | None:
-    """Witness against {a*a = a, a*(b*c) = a*c}: (a,) or (a, b, c)."""
-    return idempotence_violation(g) or identity_counterexample(g, "a*(b*c)=a*c")
-
-
-def satisfies_dually_partitioned_eqs(g: Groupoid) -> bool:
-    return dually_partitioned_eqs_violation(g) is None
-
-
-def left_reabsorption_violation(g: Groupoid) -> tuple[int, int] | None:
-    """First (a, b) with a*(a*b) != a*b."""
-    return identity_counterexample(g, "a*(a*b)=a*b")
-
-
-def satisfies_left_reabsorption(g: Groupoid) -> bool:
-    return left_reabsorption_violation(g) is None
-
-
-def right_reabsorption_violation(g: Groupoid) -> tuple[int, int] | None:
-    """First (a, b) with (a*b)*b != a*b."""
-    return identity_counterexample(g, "(a*b)*b=a*b")
-
-
-def satisfies_right_reabsorption(g: Groupoid) -> bool:
-    return right_reabsorption_violation(g) is None
+globals().update({fn.__name__: fn for row in NAMED_IDENTITIES.values()
+                  for fn in _equational(*row)})
 
 
 def matrix_symmetry_violation(g: Groupoid) -> tuple[str, int, int, int] | None:

@@ -77,6 +77,11 @@ class TestConstant:
         with pytest.raises(ValueError, match="out of range"):
             constant_groupoid(2, 5)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_order_error_comes_before_the_range_error(self, n):
+        with pytest.raises(ValueError, match=rf"^order must be positive, got {n}$"):
+            constant_groupoid(n, 0)
+
     def test_full_only_at_order_one(self):
         assert is_full(constant_groupoid(1, 0))
         assert not is_full(constant_groupoid(3, 1))

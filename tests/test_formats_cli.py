@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectangular import fixtures as fx
+from rectangular import census, fixtures as fx, properties
 from rectangular.cli import main
+from rectangular.construct import evans_central, rectangular_band
 from rectangular.core import BoolMatrix, GraphPair, PartialArray, make_groupoid
 from rectangular.formats import (
     FormatError,
@@ -252,6 +253,27 @@ class TestCliCheck:
         assert main(["check", "--property", "matrix-symmetric", "--one-based", path]) == 1
         assert capsys.readouterr().out == "false\nwitness: ('green-red', 1, 1, 3)\n"
 
+    @pytest.mark.parametrize("prop", sorted(properties.NAMED_IDENTITIES))
+    def test_equational_property_prints_the_literal_witness(self, capsys, table_file,
+                                                            prop):
+        name = properties.NAMED_IDENTITIES[prop][0]
+        rng = random.Random(prop)
+        failing = next(g for g in iter(lambda: oracles.random_groupoid(rng, 4), None)
+                       if oracles.literal_identity_violation(name, g) is not None)
+        witness = oracles.literal_identity_violation(name, failing)
+        path = table_file("fails.tbl", render_table(failing))
+        assert main(["check", "--property", prop, path]) == 1
+        assert capsys.readouterr().out == f"false\nwitness: {witness}\n"
+        assert main(["check", "--property", prop, "--one-based", path]) == 1
+        shifted = tuple(v + 1 for v in witness)
+        assert capsys.readouterr().out == f"false\nwitness: {shifted}\n"
+
+        holding = next(g for g in (rectangular_band(2, 3), evans_central(2))
+                       if oracles.literal_identity_violation(name, g) is None)
+        path = table_file("holds.tbl", render_table(holding))
+        assert main(["check", "--property", prop, path]) == 0
+        assert capsys.readouterr().out == "true\n"
+
 
 class TestCliConvert:
     def test_groupoid_to_graphpair_and_back(self, capsys, table_file):
@@ -325,6 +347,28 @@ class TestCliConstruct:
         gp = parse_graph_pair(capsys.readouterr().out)
         assert gp.order == 6
 
+    @pytest.mark.parametrize("argv, option, token", [
+        (["left-split", "A", "B", "--f", "0,x", "--g", "0"], "--f", "x"),
+        (["right-split", "A", "B", "--f", "0", "--g", "0 1.5"], "--g", "1.5"),
+        (["partition", "--base", "0,1|x", "--companions", "0;0"], "--base", "x"),
+        (["partition", "--base", "0|1", "--companions", "0,1;y"], "--companions", "y"),
+        (["factorization", "--abelian", "2,x", "--h", "0", "--k", "0"], "--abelian", "x"),
+        (["factorization", "--cyclic", "4", "--h", "0,-", "--k", "0"], "--h", "-"),
+        (["factorization", "--cyclic", "4", "--h", "0", "--k", "0,1e1"], "--k", "1e1"),
+    ], ids=["left-split", "right-split", "partition-base", "partition-companions",
+            "factorization-abelian", "factorization-h", "factorization-k"])
+    def test_non_integer_list_names_its_option(self, capsys, table_file, argv, option,
+                                              token):
+        one = table_file("one.tbl", "1\n0\n")
+        argv = [one if arg in ("A", "B") else arg for arg in argv]
+        assert main(["construct", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {option}: {token!r} is not an integer\n")
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_constant_of_non_positive_order_exit_two(self, capsys, n):
+        assert main(["construct", "constant", n, "0"]) == 2
+        assert capsys.readouterr() == ("", f"error: order must be positive, got {n}\n")
+
     def test_bad_factorization_exit_two(self, capsys):
         assert main(["construct", "factorization", "--cyclic", "4",
                      "--h", "0,1", "--k", "0,1"]) == 2
@@ -385,6 +429,26 @@ class TestCliEnumerate:
 
     def test_band_blowups_need_two_sides(self, capsys):
         assert main(["enumerate", "--class", "band-blowups", "--order", "4"]) == 2
+
+    @pytest.mark.parametrize("order", ["3x", "abc", "3X4"])
+    def test_malformed_order_names_the_option(self, capsys, order):
+        assert main(["enumerate", "--class", "rectangular", "--order", order]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --order must be N or NxM, got {order!r}\n")
+
+    def test_labeled_listing_beyond_its_bound_exit_three(self, capsys):
+        assert main(["enumerate", "--class", "rectangular", "--order", "4",
+                     "--up-to", "labeled", "--emit", "tables"]) == 3
+        assert capsys.readouterr() == ("", "capacity: listing is bounded at order 3\n")
+
+    def test_band_blowup_tables_rejected_before_the_census(self, capsys, monkeypatch):
+        def census_run(*args):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr(census, "enumerate_band_blow_ups", census_run)
+        assert main(["enumerate", "--class", "band-blowups", "--order", "3x4",
+                     "--emit", "tables"]) == 2
+        assert capsys.readouterr() == ("", "error: band-blowups emits counts only\n")
 
     def test_capacity_exit_three(self, capsys):
         assert main(["enumerate", "--class", "rectangular", "--order", "9",

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import rectangular
 from rectangular import properties
 from rectangular.census import iter_rectangular_tables
 from rectangular.construct import evans_central, rectangular_band
@@ -160,3 +161,19 @@ def test_traced_functions_exist_under_their_own_names():
         for name in names:
             fn = getattr(mod, name)
             assert callable(fn) and fn.__name__ == name, (module, name)
+
+
+def test_identity_table_binds_each_function_under_its_own_name():
+    rows = properties.NAMED_IDENTITIES.values()
+    # every row is scanned against its literal equations above
+    assert {violation for violation, _, _ in rows} == set(oracles.LITERAL_IDENTITIES)
+    for violation_name, predicate_name, _ in rows:
+        violation, predicate = (getattr(properties, name)
+                                for name in (violation_name, predicate_name))
+        assert (violation.__name__, violation.__qualname__) == (violation_name,) * 2
+        assert (predicate.__name__, predicate.__qualname__) == (predicate_name,) * 2
+        assert all(predicate(g) == (violation(g) is None) for g in TABLES)
+    for name in ("is_associative", "is_central", "is_idempotent",
+                 "satisfies_dually_partitioned_eqs", "satisfies_partitioned_eqs",
+                 "satisfies_undirected_eq"):
+        assert getattr(rectangular, name) is getattr(properties, name)
