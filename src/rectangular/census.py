@@ -5,9 +5,12 @@ Every rectangular search, the band blow-ups included, runs through one
 placement engine, ``_placements``: it fills given cells of a partial table
 and keeps each symbol's cells a rectangle at every step.  The central
 search works on the matrix model: row i's out-neighbours must index rows
-that tile the column set, which is checked incrementally; BB = J forces
-BJ = JB, hence every row and column sum equals sqrt(n) and the trace is
-sqrt(n), so loops can be pinned to the first sqrt(n) indices.  The
+that tile the column set.  BB = J forces BJ = JB, hence every row and
+column sum equals sqrt(n) and the trace is sqrt(n), so loops can be pinned
+to the first sqrt(n) indices.  The rows are set in index order, so one
+blocked mask per row, the columns already covered in the lines the row
+joins, stands for every tiling it takes part in; its own line's rows must
+be pairwise disjoint, and a line with one row left forces that row.  The
 relabelings that keep the loops first, Sym(0..m-1) x Sym(m..n-1), then act
 on the solutions, and the isomorphism classes are their orbits.
 
@@ -236,32 +239,27 @@ def _row_candidates(m: int) -> list[list[int]]:
 
 def _central_solutions(m: int, first_row: int) -> list[tuple[int, ...]]:
     """All BB = J matrices with loops at rows 0..m-1 and row 0 first_row,
-    as bitset row tuples."""
+    as bitset row tuples in lex order.
+
+    Rows are set in index order, so the unset rows are those after the
+    current one.  Line i is the set of rows that row i indexes; each row has
+    m ones, so a line tiles the columns exactly when its rows are pairwise
+    disjoint.  union[i] is the OR of line i's rows set so far.  A candidate
+    for row t must miss the blocked mask, the OR of the unions of the lines
+    that row t joins, and the rows of its own line must be pairwise
+    disjoint.  A line left with one unset row forces that row to the
+    columns its union misses.
+    """
     n = m * m
     full = (1 << n) - 1
     cand = _row_candidates(m)
-
-    rows: list[int | None] = [None] * n
-    unions = [0] * n      # OR of assigned rows indexed by bits of rows[i]
-    missing = [0] * n     # how many of those rows are still unassigned
-    watchers: list[list[int]] = [[] for _ in range(n)]
-    colcount = [0] * n
+    rows = [0] * n
+    union = [0] * n
     forced: dict[int, int] = {}
     out: list[tuple[int, ...]] = []
-    bit_lists: dict[int, tuple[int, ...]] = {}
-
-    def bits(mask: int) -> tuple[int, ...]:
-        got = bit_lists.get(mask)
-        if got is None:
-            got = tuple(bits_of(mask))
-            bit_lists[mask] = got
-        return got
-
-    def diag_ok(k: int, mask: int) -> bool:
-        return (mask >> k & 1) == (1 if k < m else 0)
 
     def force(k: int, fmask: int, trail: list[int]) -> bool:
-        if not diag_ok(k, fmask) or fmask.bit_count() != m:
+        if (fmask >> k & 1) != (k < m) or fmask.bit_count() != m:
             return False
         if k in forced:
             return forced[k] == fmask
@@ -269,89 +267,46 @@ def _central_solutions(m: int, first_row: int) -> list[tuple[int, ...]]:
         trail.append(k)
         return True
 
-    def assign(t: int, full_cols: int) -> None:
+    def assign(t: int) -> None:
         if t == n:
-            out.append(tuple(rows))  # type: ignore[arg-type]
+            out.append(tuple(rows))
             return
-        if t in forced:
-            options = (forced[t],)  # force() stores only rows that pass both checks
-        elif t == 0:
-            options = (first_row,)
-        else:
-            options = cand[t]
-        remaining = n - 1 - t
+        # a forced row replaces the candidates; force() checked its diagonal
+        # bit and its popcount
+        options = (forced[t],) if t in forced else cand[t]
+        done = (2 << t) - 1  # rows 0..t, the rows set once row t is
+        joined = [i for i in range(t) if rows[i] >> t & 1]
+        blocked = 0
+        for i in joined:
+            blocked |= union[i]
         for mask in options:
-            if mask & full_cols:
+            if mask & blocked:
                 continue
-            skip = False
-            for i in watchers[t]:
-                if unions[i] & mask:
-                    skip = True
-                    break
-            if skip:
-                continue
-            union_own = 0
-            miss_own = 0
-            mask_bits = bits(mask)
-            for k in mask_bits:
-                rk = mask if k == t else rows[k]
-                if rk is None:
-                    miss_own += 1
-                    continue
-                if rk & union_own:
-                    skip = True
-                    break
-                union_own |= rk
-            if skip:
-                continue
-
             rows[t] = mask
-            unions[t] = union_own
-            missing[t] = miss_own
-            new_full = full_cols
-            for j in mask_bits:
-                colcount[j] += 1
-                if colcount[j] == m:
-                    new_full |= 1 << j
-            watch_trail = []
-            for k in mask_bits:
-                if rows[k] is None:
-                    watchers[k].append(t)
-                    watch_trail.append(k)
-            union_trail: list[tuple[int, int, int]] = []
-            forced_trail: list[int] = []
-            dead = any(m - colcount[j] > remaining for j in range(n))
-            if not dead:
-                for i in watchers[t]:
-                    union_trail.append((i, unions[i], missing[i]))
-                    unions[i] |= mask
-                    missing[i] -= 1
-                    if missing[i] == 1:
-                        k = next(k for k in bits(rows[i]) if rows[k] is None)
-                        if not force(k, full ^ unions[i], forced_trail):
-                            dead = True
-                            break
-            if not dead and miss_own == 1:
-                k = next(k for k in mask_bits if rows[k] is None)
-                if not force(k, full ^ union_own, forced_trail):
-                    dead = True
-            if not dead:
-                assign(t + 1, new_full)
+            own = 0
+            for k in bits_of(mask & done):
+                if rows[k] & own:
+                    break
+                own |= rows[k]
+            else:
+                union[t] = own
+                for i in joined:
+                    union[i] |= mask
+                trail: list[int] = []
+                for i in joined + [t]:
+                    rest = rows[i] & ~done
+                    if rest.bit_count() == 1 and not force(
+                            rest.bit_length() - 1, full ^ union[i], trail):
+                        break
+                else:
+                    assign(t + 1)
+                for k in trail:
+                    del forced[k]
+                for i in joined:
+                    union[i] ^= mask
 
-            for k in forced_trail:
-                del forced[k]
-            for i, u, ms in union_trail:
-                unions[i] = u
-                missing[i] = ms
-            for k in watch_trail:
-                watchers[k].pop()
-            for j in mask_bits:
-                colcount[j] -= 1
-            rows[t] = None
-            unions[t] = 0
-            missing[t] = 0
-
-    assign(0, 0)
+    if force(0, first_row, []):  # the first row is checked like a forced one
+        assign(0)
     return out
 
 

@@ -181,12 +181,11 @@ def _cmd_enumerate(args) -> int:
     elif kind == "central":
         if args.up_to not in (None, "iso"):
             raise ValueError("central census is always up to isomorphism")
-        result = census.enumerate_central(order, long_run=args.long_run,
-                                          jobs=args.jobs)
+        result = census.enumerate_central(order, long_run=args.long_run)
     else:
         mode = {"labeled": "labeled", "iso": "isomorphism",
                 "isotopy": "isotopy"}[args.up_to or "iso"]
-        result = census.enumerate_rectangular(order, mode=mode, jobs=args.jobs)
+        result = census.enumerate_rectangular(order, mode=mode)
 
     if args.emit == "count":
         print(result.count)
@@ -233,23 +232,10 @@ def _cmd_transversal(args) -> int:
     return 0
 
 
-def _jobs(text: str) -> int:
-    """argparse type of --jobs: an integer of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs must be an integer, got {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {jobs}")
-    return jobs
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--one-based", action="store_true",
                         help="display symbols and indices 1-based (files stay 0-based)")
-    common.add_argument("--jobs", type=_jobs, default=1, metavar="N",
-                        help="accepted for compatibility; has no effect (must be at least 1)")
 
     parser = argparse.ArgumentParser(
         prog="rectangular",

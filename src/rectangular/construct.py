@@ -213,33 +213,13 @@ def abelian_group(*moduli: int) -> FiniteGroup:
     """Direct product of cyclic groups, flattened row-major."""
     if not moduli or any(m < 1 for m in moduli):
         raise ValueError("moduli must be a nonempty list of positive integers")
-    order = 1
-    for m in moduli:
-        order *= m
-    # mixed-radix representation, left factor major
-    radix = list(moduli)
-
-    def digits(x: int) -> list[int]:
-        ds = []
-        for m in reversed(radix):
-            ds.append(x % m)
-            x //= m
-        return ds[::-1]
-
-    def undigits(ds: list[int]) -> int:
-        x = 0
-        for d, m in zip(ds, radix):
-            x = x * m + d
-        return x
-    table = []
-    for i in range(order):
-        di = digits(i)
-        row = []
-        for j in range(order):
-            dj = digits(j)
-            row.append(undigits([(a + b) % m for a, b, m in zip(di, dj, radix)]))
-        table.append(tuple(row))
-    return FiniteGroup(order, tuple(table))
+    # product() lists the elements with the left factor major
+    elements = list(product(*(range(m) for m in moduli)))
+    index = {x: i for i, x in enumerate(elements)}
+    table = tuple(tuple(index[tuple([(a + b) % m for a, b, m in zip(x, y, moduli)])]
+                        for y in elements)
+                  for x in elements)
+    return FiniteGroup(len(elements), table)
 
 
 def group_factorization_pair(gamma: FiniteGroup, h: set[int] | frozenset[int],

@@ -285,9 +285,6 @@ def make_groupoid(order: int, entries: Iterable[int]) -> Groupoid:
     return Groupoid(order, rows)
 
 
-TRIVIAL = None  # set after Groupoid is defined; see bottom of module
-
-
 @dataclass(frozen=True)
 class GraphPair:
     """Two edge relations (red, green) on the node set ``0..n-1``.
@@ -379,9 +376,6 @@ class BoolMatrix:
 
     def to_grid(self) -> list[list[int]]:
         return [[self.bit(i, j) for j in range(self.order)] for i in range(self.order)]
-
-
-EMPTY = None  # the PartialArray empty-cell sentinel; never a symbol
 
 
 @dataclass(frozen=True)

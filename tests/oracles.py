@@ -5,6 +5,7 @@ quantifier loops, plain integer matrix products, and set bookkeeping, so a
 disagreement always points at exactly one side.
 """
 
+import warnings
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -134,7 +135,11 @@ def identity_violation_by_eval(g: Groupoid, identity: str):
     for values in product(range(g.order), repeat=len(names)):
         env = {name: _Element(g.table, v) for name, v in zip(names, values)}
         try:
-            left, right = (eval(side, {"__builtins__": {}}, env) for side in sides)
+            with warnings.catch_warnings():
+                # a string such as "1(x)" compiles with a SyntaxWarning
+                # before it fails with a TypeError
+                warnings.simplefilter("ignore", SyntaxWarning)
+                left, right = (eval(side, {"__builtins__": {}}, env) for side in sides)
         except (SyntaxError, TypeError, NameError):
             return "malformed"
         if not (isinstance(left, _Element) and isinstance(right, _Element)):

@@ -15,6 +15,7 @@ from rectangular.census import (
     iter_rectangular_tables,
 )
 from rectangular.core import (
+    BoolMatrix,
     CapacityError,
     Groupoid,
     Permutation,
@@ -246,6 +247,28 @@ class TestCentral:
             loops = [i for i in range(4) if rows[i] >> i & 1]
             assert len(loops) == 2
             assert not any(rows[i] >> j & 1 for i in loops for j in loops if i != j)
+
+    def test_search_matches_brute_force_at_order_four(self):
+        # for every first row, the brute-force matrices with loops exactly at
+        # {0, 1} and that row first, in sorted order
+        labeled = _bb_equals_j_order_4()
+        found = 0
+        for rest in combinations(range(1, 4), 1):
+            row = 1 | mask_of(rest)
+            want = sorted(rows for rows in labeled if rows[0] == row
+                          and [i for i in range(4) if rows[i] >> i & 1] == [0, 1])
+            assert census._central_solutions(2, row) == want
+            found += len(want)
+        assert found == 2
+
+    def test_order_nine_search_is_sorted_and_squares_to_j(self):
+        m, n = 3, 9
+        solutions = census._central_solutions(m, census._row_candidates(m)[0][0])
+        assert all(a < b for a, b in zip(solutions, solutions[1:]))
+        for rows in solutions:
+            assert [i for i in range(n) if rows[i] >> i & 1] == [0, 1, 2]
+            b = BoolMatrix(n, rows)
+            assert oracles.matmul(b, b) == [[1] * n] * n
 
     def test_first_rows_with_a_second_loop_have_no_solutions(self):
         for m in (2, 3):

@@ -329,6 +329,20 @@ class TestGroups:
         # (1,0) + (1,2) = (0,2)
         assert g.mul(3, 5) == 2
 
+    @pytest.mark.parametrize("moduli", [(1,), (2,), (5,), (6,), (2, 2), (2, 3), (3, 2),
+                                        (2, 2, 2), (4, 2, 3), (1, 3), (3, 1, 2)])
+    def test_abelian_is_the_direct_product_of_cyclic_tables(self, moduli):
+        # element (x, y) of G x Z_m is x * m + y: the left factor is major
+        table = [[0]]
+        for m in moduli:
+            z = cyclic_group(m).table
+            table = [[table[x1][x2] * m + z[y1][y2]
+                      for x2 in range(len(table)) for y2 in range(m)]
+                     for x1 in range(len(table)) for y1 in range(m)]
+        g = abelian_group(*moduli)
+        assert g.order == len(table)
+        assert g.table == tuple(tuple(row) for row in table)
+
     def test_factorization_z6(self):
         gp = group_factorization_pair(cyclic_group(6), {0, 3}, {0, 1, 2})
         assert satisfies_p2(gp)
