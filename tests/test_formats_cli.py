@@ -11,6 +11,7 @@ from rectangular.construct import evans_central, rectangular_band
 from rectangular.core import BoolMatrix, GraphPair, PartialArray, make_groupoid
 from rectangular.formats import (
     FormatError,
+    census_json,
     parse_graph_pair,
     parse_matrix,
     parse_matrix_pair,
@@ -455,14 +456,39 @@ class TestCliEnumerate:
                      "--up-to", "labeled"]) == 3
         assert main(["enumerate", "--class", "central", "--order", "16"]) == 3
 
-    def test_jobs_is_an_unrecognized_argument(self, capsys, table_file):
+    def test_jobs_do_not_change_output(self, capsys):
+        # the CLI has no --jobs; its census JSON is the library's at any jobs
+        argv = ["enumerate", "--class", "rectangular", "--order", "3",
+                "--up-to", "iso", "--emit", "json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        for jobs in (1, 3):
+            result = census.enumerate_rectangular(3, "isomorphism", jobs=jobs)
+            assert census_json(result, "rectangular") == first
+        assert main(argv + ["--jobs", "3"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_jobs_below_one_exit_two(self, capsys):
+        # --jobs is gone, so any value is an unrecognized argument
+        for klass, order in (("rectangular", "2"), ("central", "4")):
+            for jobs in ("-5", "0", "2"):
+                assert main(["enumerate", "--class", klass, "--order", order,
+                             "--jobs", jobs]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert f"unrecognized arguments: --jobs {jobs}" in captured.err
+
+    def test_jobs_below_one_exit_two_where_jobs_is_unused(self, capsys, table_file):
         path = table_file("x4.tbl", X4_TEXT)
         for argv in (["check", "--property", "central", path],
-                     ["enumerate", "--class", "rectangular", "--order", "2"]):
-            assert main(argv + ["--jobs", "2"]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "unrecognized arguments: --jobs 2" in captured.err
+                     ["enumerate", "--class", "band-blowups", "--order", "2x2"]):
+            for jobs in ("-3", "0", "two", "2"):
+                assert main(argv + ["--jobs", jobs]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert f"unrecognized arguments: --jobs {jobs}" in captured.err
+            assert main(argv) in (0, 1)
+            assert capsys.readouterr().out
 
     def test_non_square_central_reports_note(self, capsys):
         assert main(["enumerate", "--class", "central", "--order", "6"]) == 0
