@@ -321,6 +321,30 @@ class TestCentral:
                             key=Groupoid.flat)
             assert enumerate_central(n).tables == tuple(tables)
 
+    def test_loops_first_min_is_the_least_corner_sequence(self):
+        # brute force over all of Sym(0..m-1) x Sym(m..n-1): the relabeling
+        # whose cells, read in growing-corner order, form the least sequence
+        def least(rows, m):
+            n = m * m
+            best = None
+            for p in (lo + hi for lo in permutations(range(m))
+                      for hi in permutations(range(m, n))):
+                cell = [[rows[p[i]] >> p[j] & 1 for j in range(n)] for i in range(n)]
+                seq = [b for d in range(n) for b in (
+                    [cell[i][d] for i in range(d)] + cell[d][:d + 1])]
+                if best is None or seq < best[0]:
+                    best = (seq, tuple(mask_of(j for j in range(n) if cell[i][j])
+                                       for i in range(n)))
+            return best[1]
+
+        order_4 = [rows for rows in _bb_equals_j_order_4()
+                   if [i for i in range(4) if rows[i] >> i & 1] == [0, 1]]
+        order_9 = census._central_solutions(3, census._row_candidates(3)[0][0])[::100]
+        assert len(order_4) == 2 and len(order_9) == 11
+        for m, sample in ((2, order_4), (3, order_9)):
+            for rows in sample:
+                assert census._loops_first_min(rows, m) == least(rows, m)
+
     def test_orbits_too_large_to_absorb_are_canonicalized_one_by_one(self, monkeypatch):
         absorbed = [enumerate_central(n) for n in (4, 9)]
         monkeypatch.setattr(census, "ORBIT_BOUND", 0)
