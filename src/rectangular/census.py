@@ -22,7 +22,9 @@ Permuting rows, columns and symbols independently maps rectangles to
 rectangles, so the rectangular tables of an order are closed under isotopy
 as well as relabeling; the first member of each isomorphism or isotopy
 orbit is the least table of its class.  The images are isotopes by
-``core.flat_isotopes``, h(a, b) = gamma^-1(g(alpha(a), beta(b))).
+``core.flat_isotopes``, h(a, b) = gamma^-1(g(alpha(a), beta(b))).  Relabeling
+a matrix by p relabels its groupoid by p, so the central orbits are absorbed
+over the solutions' tables by the same kernel, with alpha = beta = gamma.
 
 Each census searches one first cell or one first row; symmetry gives the
 rest, so there is no worker pool (``jobs`` is checked but has no effect).
@@ -68,7 +70,7 @@ class CensusResult:
     note: str | None = None
 
 
-def _can_place(n, table, filled, row_masks, col_masks, r, c, y) -> bool:
+def _can_place(n, table, row_masks, col_masks, r, c, y) -> bool:
     """May symbol y go at (r, c) without breaking any symbol's rectangle?"""
     rbit = 1 << r
     cbit = 1 << c
@@ -78,18 +80,17 @@ def _can_place(n, table, filled, row_masks, col_masks, r, c, y) -> bool:
     rm = row_masks[y]
     while rm:
         low = rm & -rm
-        r2 = low.bit_length() - 1
         rm ^= low
-        if filled[r2] & cbit and table[r2][c] != y:
+        z = table[low.bit_length() - 1][c]
+        if z >= 0 and z != y:
             return False
     cm = col_masks[y]
-    frow = filled[r]
     trow = table[r]
     while cm:
         low = cm & -cm
-        c2 = low.bit_length() - 1
         cm ^= low
-        if frow >> c2 & 1 and trow[c2] != y:
+        z = trow[low.bit_length() - 1]
+        if z >= 0 and z != y:
             return False
     return True
 
@@ -101,13 +102,11 @@ def _placements(table: list[list[int]], cells: list[tuple[int, int]], options: l
     Yields the table itself, filled in place, once per complete filling.
     """
     n = len(table)
-    filled = [0] * n
     row_masks = [0] * n
     col_masks = [0] * n
     for r, row in enumerate(table):
         for c, y in enumerate(row):
             if y >= 0:
-                filled[r] |= 1 << c
                 row_masks[y] |= 1 << r
                 col_masks[y] |= 1 << c
 
@@ -117,16 +116,14 @@ def _placements(table: list[list[int]], cells: list[tuple[int, int]], options: l
             return
         r, c = cells[idx]
         for y in options[idx]:
-            if not _can_place(n, table, filled, row_masks, col_masks, r, c, y):
+            if not _can_place(n, table, row_masks, col_masks, r, c, y):
                 continue
             old_rm, old_cm = row_masks[y], col_masks[y]
             table[r][c] = y
-            filled[r] |= 1 << c
             row_masks[y] |= 1 << r
             col_masks[y] |= 1 << c
             yield from dfs(idx + 1)
             table[r][c] = -1
-            filled[r] &= ~(1 << c)
             row_masks[y], col_masks[y] = old_rm, old_cm
 
     yield from dfs(0)
@@ -310,22 +307,6 @@ def _central_solutions(m: int, first_row: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _matrix_relabelings(m: int):
-    """The loops-first relabelings of a bitset-row matrix: row i and
-    column j of the image are row and column p[i], p[j] of the original,
-    for every p in Sym(0..m-1) x Sym(m..n-1)."""
-    n = m * m
-    moves = [(p, [p.index(j) for j in range(n)])
-             for p in (lo + hi for lo in permutations(range(m))
-                       for hi in permutations(range(m, n)))]
-
-    def relabelings(rows):
-        bits = [tuple(bits_of(row)) for row in rows]
-        for p, inv in moves:
-            yield tuple([sum(1 << inv[b] for b in bits[i]) for i in p])
-    return relabelings
-
-
 def _loops_first_min(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
     """Minimum relabeling of a loops-first matrix over the permutations that
     keep loops first: the class representative of its orbit.
@@ -334,72 +315,47 @@ def _loops_first_min(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
     equal minima characterise isomorphic solutions exactly.  The census calls
     it once per class, on the first member of each orbit, and on every
     solution only where an orbit is too large to absorb.  Cells are compared
-    in growing-corner order, which lets the search prune on partial
-    relabelings.
+    in growing-corner order, layer d being (i, d) for i < d, then (d, j) for
+    j <= d, so a partial relabeling fixes a prefix of the cell sequence and
+    a branch is cut once its prefix exceeds the best sequence's.
     """
     n = m * m
-    best: list[int] | None = None
-    best_p: list[int] | None = None
-    version = 0
+    best: list[int] = []
+    best_p: list[int] = []
     p: list[int] = []
     prefix: list[int] = []
-    used = [False] * n
 
-    def layer(d: int) -> list[int]:
-        pd = p[d]
-        rd = rows[pd]
-        out = [rows[p[i]] >> pd & 1 for i in range(d)]
-        out.extend(rd >> p[j] & 1 for j in range(d))
-        out.append(rd >> pd & 1)
-        return out
-
-    # state: 0 = prefix equals the best prefix, -1 = strictly below best (or
-    # no best yet).  When a descendant replaces best, the current path is by
-    # construction a prefix of the new best, so the state resets to 0.
-    def dfs(d: int, state: int) -> None:
-        nonlocal best, best_p, version
+    def dfs(d: int) -> None:
+        nonlocal best, best_p
         if d == n:
-            if best is None or state == -1:
-                best = prefix.copy()
-                best_p = p.copy()
-                version += 1
+            if not best or prefix < best:
+                best, best_p = prefix.copy(), p.copy()
             return
         lo, hi = (0, m) if d < m else (m, n)
         for orig in range(lo, hi):
-            if used[orig]:
+            if orig in p:
                 continue
-            used[orig] = True
             p.append(orig)
-            cells = layer(d)
-            new_state = state
-            pruned = False
-            if best is not None and state == 0:
-                base = len(prefix)
-                for off, bit in enumerate(cells):
-                    ref = best[base + off]
-                    if bit > ref:
-                        pruned = True
-                        break
-                    if bit < ref:
-                        new_state = -1
-                        break
-            if not pruned:
-                seen = version
-                prefix.extend(cells)
-                dfs(d + 1, new_state)
-                del prefix[len(prefix) - len(cells):]
-                if version != seen:
-                    state = 0
+            prefix.extend([rows[p[i]] >> orig & 1 for i in range(d)])
+            prefix.extend([rows[orig] >> p[j] & 1 for j in range(d + 1)])
+            if not best or prefix <= best[:len(prefix)]:
+                dfs(d + 1)
+            del prefix[len(prefix) - 2 * d - 1:]
             p.pop()
-            used[orig] = False
 
-    dfs(0, -1)
-    assert best_p is not None
-    out = []
-    for i in range(n):
-        ri = rows[best_p[i]]
-        out.append(mask_of(j for j in range(n) if ri >> best_p[j] & 1))
-    return tuple(out)
+    dfs(0)
+    return tuple(mask_of(j for j in range(n) if rows[best_p[i]] >> best_p[j] & 1)
+                 for i in range(n))
+
+
+def _central_table(rows: tuple[int, ...]) -> Groupoid:
+    """The central groupoid of a BB = J matrix: a*b is the middle of the
+    unique path a -> c -> b in the graph of B (Knuth 1970)."""
+    table, bad = two_step_middles(rows, rows)
+    if bad is not None:
+        raise RuntimeError(f"central search returned a matrix B with B*B != J: "
+                           f"witness {bad}")
+    return Groupoid(len(rows), table)
 
 
 def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusResult:
@@ -425,20 +381,15 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     if n == 16 and not long_run:
         raise CapacityError("order 16 takes far longer than desk scale; pass long_run")
 
-    solutions = sorted(_central_solutions(m, _row_candidates(m)[0][0]))
+    solutions = _central_solutions(m, _row_candidates(m)[0][0])
     if factorial(m) * factorial(n - m) <= ORBIT_BOUND:
-        solutions = _orbit_firsts(solutions, _matrix_relabelings(m))
+        rows_of = {_central_table(rows).flat(): rows for rows in solutions}
+        loops_first = [(p, p, p) for p in (lo + hi for lo in permutations(range(m))
+                                           for hi in permutations(range(m, n)))]
+        solutions = [rows_of[flat] for flat in
+                     _orbit_firsts(sorted(rows_of), flat_isotopes(n, loops_first))]
     reps = {_loops_first_min(rows, m) for rows in solutions}
-    tables = []
-    for rows in sorted(reps):
-        # a*b is the middle of the unique path a -> c -> b in the graph of B;
-        # the table is central exactly when B*B = J (Knuth 1970)
-        table, bad = two_step_middles(rows, rows)
-        if bad is not None:
-            raise RuntimeError(f"central search returned a matrix B with B*B != J: "
-                               f"witness {bad}")
-        tables.append(Groupoid(n, table))
-    tables.sort(key=Groupoid.flat)
+    tables = sorted(map(_central_table, reps), key=Groupoid.flat)
     return CensusResult(n, "isomorphism", len(tables), tuple(tables))
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import census, construct, formats, isotopy, properties, transform
 from .core import CapacityError, Groupoid, Mapping, Partition, PartitionSystem
-from .formats import FormatError
 
 
 def _read(path: str) -> str:
@@ -258,8 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("file")
     p_conv.set_defaults(func=_cmd_convert)
 
-    p_cons = sub.add_parser("construct", parents=[common],
-                            help="build a structure from parameters")
+    p_cons = sub.add_parser("construct", help="build a structure from parameters")
     cons_sub = p_cons.add_subparsers(dest="kind", required=True)
     c = cons_sub.add_parser("constant", parents=[common])
     c.add_argument("n", type=int)
@@ -332,10 +330,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return 3
-    except (FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

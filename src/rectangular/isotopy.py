@@ -152,33 +152,34 @@ def are_isomorphic(g: Groupoid, h: Groupoid) -> Permutation | None:
 def find_transversal(g: Groupoid) -> Transversal | None:
     """n cells, one per row and column, covering every symbol once.
 
-    Depth-first over rows with column/symbol bitmasks; returns the first
-    selection in row-major order, so the result is deterministic.
+    Depth-first over rows with column/symbol bitmasks, as a loop with one
+    column cursor per row, so no order is too deep for the stack; returns
+    the first selection in row-major order, so the result is deterministic.
     """
     n = g.order
-    cols_free = (1 << n) - 1
-    syms_free = (1 << n) - 1
-    chosen: list[tuple[int, int]] = []
-
-    def descend(row: int, cols: int, syms: int) -> bool:
-        if row == n:
-            return True
-        for c in range(n):
-            bit = 1 << c
-            if not cols & bit:
-                continue
-            s = 1 << g.table[row][c]
-            if not syms & s:
-                continue
-            chosen.append((row, c))
-            if descend(row + 1, cols & ~bit, syms & ~s):
-                return True
-            chosen.pop()
-        return False
-
-    if not descend(0, cols_free, syms_free):
+    cols = syms = (1 << n) - 1  # the free columns and symbols
+    picked = [-1] * n  # the column chosen in each row, -1 before the first
+    row = 0
+    while 0 <= row < n:
+        trow = g.table[row]
+        c = picked[row]
+        if c >= 0:  # back in this row: free its choice and try the next column
+            cols |= 1 << c
+            syms |= 1 << trow[c]
+        c += 1
+        while c < n and not (cols >> c & 1 and syms >> trow[c] & 1):
+            c += 1
+        if c < n:
+            picked[row] = c
+            cols ^= 1 << c
+            syms ^= 1 << trow[c]
+            row += 1
+        else:
+            picked[row] = -1
+            row -= 1
+    if row < 0:
         return None
-    return Transversal(n, tuple(chosen))
+    return Transversal(n, tuple(enumerate(picked)))
 
 
 def idempotent_isotope(g: Groupoid) -> tuple[IsotopyTriple, Groupoid] | None:

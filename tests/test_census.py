@@ -19,6 +19,7 @@ from rectangular.core import (
     CapacityError,
     Groupoid,
     Permutation,
+    flat_isotopes,
     make_groupoid,
     mask_of,
     opposite,
@@ -302,9 +303,12 @@ class TestCentral:
         solutions = census._central_solutions(m, first[0])
         assert len(first) == 15
         assert len(first) * len(solutions) == CENTRAL_9_LABELED
-        # one first member per class: each absorbed orbit holds all its solutions
-        assert len(census._orbit_firsts(sorted(solutions),
-                                        census._matrix_relabelings(m))) == len(reps)
+        # one first member per class: each absorbed orbit holds all its
+        # solutions' tables, relabeled by the isotope kernel
+        loops_first = [(p, p, p) for p in (lo + hi for lo in permutations(range(m))
+                                           for hi in permutations(range(m, n)))]
+        flats = sorted(census._central_table(rows).flat() for rows in solutions)
+        assert len(census._orbit_firsts(flats, flat_isotopes(n, loops_first))) == len(reps)
         # another row of the orbit: the highest non-loops
         other = 1 | mask_of(range(n - (m - 1), n))
         assert other == first[-1]

@@ -313,6 +313,13 @@ class TestCliConstruct:
         out = parse_table(capsys.readouterr().out)
         assert out.order == 4
 
+    def test_one_based_goes_after_the_kind(self, capsys):
+        assert main(["construct", "evans", "--one-based", "1"]) == 0
+        assert capsys.readouterr() == ("1\n1\n", "")
+        assert main(["construct", "--one-based", "evans", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --one-based" in err
+
     def test_band(self, capsys):
         assert main(["construct", "band", "2", "3"]) == 0
         assert parse_table(capsys.readouterr().out).order == 6
@@ -557,6 +564,17 @@ class TestCliIsotopyAndTransversal:
         path = table_file("c4.tbl", render_table(fx.C4))
         assert main(["transversal", path]) == 1
         assert capsys.readouterr().out == "none\n"
+
+    def test_transversal_of_order_1024(self, capsys, table_file):
+        # one row per search level: deeper than the interpreter's stack
+        g = rectangular_band(32, 32)
+        path = table_file("b1024.tbl", render_table(g))
+        assert main(["transversal", path]) == 0
+        cells = [tuple(map(int, line.split()))
+                 for line in capsys.readouterr().out.splitlines()]
+        assert [r for r, _ in cells] == list(range(1024))
+        assert sorted(c for _, c in cells) == list(range(1024))
+        assert len({g.table[r][c] for r, c in cells}) == 1024
 
     def test_transversal_one_based(self, capsys, table_file):
         path = table_file("t5a.tbl", render_table(fx.T5A))

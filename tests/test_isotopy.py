@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -213,6 +214,26 @@ class TestTransversal:
     def test_latin_square_has_one(self):
         latin = make_groupoid(3, [0, 1, 2, 1, 2, 0, 2, 0, 1])
         assert find_transversal(latin) is not None
+
+    def test_first_in_row_major_order_against_brute_force(self):
+        # the least column permutation, in lex order, whose cells hold
+        # distinct symbols; random tables of orders 1-5 and every
+        # rectangular table of order 3
+        def first(g):
+            n = g.order
+            return next((tuple(enumerate(cols)) for cols in permutations(range(n))
+                         if len({g.table[r][c] for r, c in enumerate(cols)}) == n), None)
+
+        rng = random.Random(7)
+        tables = [make_groupoid(n, [rng.randrange(n) for _ in range(n * n)])
+                  for n in range(1, 6) for _ in range(60)]
+        tables += iter_rectangular_tables(3)
+        found = 0
+        for g in tables:
+            t = find_transversal(g)
+            assert (None if t is None else t.cells) == first(g)
+            found += t is not None
+        assert 0 < found < len(tables)
 
 
 class TestIdempotentIsotope:
