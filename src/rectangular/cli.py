@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import census, construct, formats, isotopy, properties, transform
-from .core import CapacityError, Groupoid, Mapping, Partition, PartitionSystem
+from .core import CapacityError, Mapping, Partition, PartitionSystem
 
 
 def _read(path: str) -> str:

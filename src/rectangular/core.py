@@ -8,7 +8,9 @@ the package are pure functions and safe to call concurrently.
 
 The kernels every layer shares live here too: the two-step path count
 (``two_step_middles``), the symbols of each line (``line_symbol_sets``), the
-identity evaluator (``identity_counterexample``), the model conversions
+identity evaluator (``identity_counterexample``, which holds a side over
+its last variable as ``bytes`` up to order 256, composing rows with
+``bytes.translate``, and as a list above 256), the model conversions
 (``groupoid_to_graph_pair``, ``graph_pair_to_groupoid``,
 ``graph_pair_to_matrices``, ``matrices_to_graph_pair``) and the isotope
 kernel (``flat_isotopes``), which states the one isotopy convention
@@ -153,38 +155,41 @@ def _parse_term(text: str, i: int) -> tuple[str | tuple, int]:
     return term, i
 
 
-def _as_list(fn, varies: bool, n: int):
-    """A compiled term as a closure that always returns a list."""
-    return fn if varies else (lambda env: [fn(env)] * n)
+def _as_sequence(fn, varies: bool, ids):
+    """A compiled term as a closure that always returns a sequence over the
+    last variable, of the type of ids."""
+    if varies:
+        return fn
+    seq, n = type(ids), len(ids)
+    return lambda env: seq((fn(env),)) * n
 
 
-def _compile(term, last: str, outer: tuple, t: list, ids: list):
+def _compile(term, last: str, outer: tuple, t: list, ids, compose):
     """(closure, varies) for a term.
 
     The closure maps the values of the ``outer`` variables, all but
-    ``last``, to the term's value: a list over every value of ``last`` when
-    varies is true, else one symbol.
+    ``last``, to the term's value: a sequence over every value of ``last``,
+    of the type of ids, when varies is true, else one symbol.  t holds the
+    table's rows as such sequences, and compose(s, idx) is the sequence
+    s*v over the v in the sequence idx.
     """
     if isinstance(term, str):
         if term == last:
             return (lambda env: ids), True
         return itemgetter(outer.index(term)), False
-    (lf, lv), (rf, rv) = (_compile(side, last, outer, t, ids) for side in term)
+    (lf, lv), (rf, rv) = (_compile(side, last, outer, t, ids, compose) for side in term)
     if not (lv or rv):
         return (lambda env: t[lf(env)][rf(env)]), False
     if not lv:
         if term[1] == last:  # s*z over every z is row s
             return (lambda env: t[lf(env)]), True
-
-        def row_of_list(env):
-            row = t[lf(env)]
-            return [row[v] for v in rf(env)]
-        return row_of_list, True
+        return (lambda env: compose(lf(env), rf(env))), True
+    seq = type(ids)
     if term[0] == last and not rv:  # z*s over every z is column s
-        cols = [list(col) for col in zip(*t)]
+        cols = [seq(col) for col in zip(*t)]
         return (lambda env: cols[rf(env)]), True
-    rf = _as_list(rf, rv, len(ids))
-    return (lambda env: [t[u][v] for u, v in zip(lf(env), rf(env))]), True
+    rf = _as_sequence(rf, rv, ids)
+    return (lambda env: seq([t[u][v] for u, v in zip(lf(env), rf(env))])), True
 
 
 IDENTITY_LENGTH_BOUND = 200  # keeps the recursive parse and compile shallow
@@ -220,15 +225,32 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     Groupoid or a FiniteGroup).
 
     Each side is compiled once per call into closures that, for fixed
-    values of the other variables, compute the side as a list over the last
-    variable.  A malformed identity raises ValueError.
+    values of the other variables, compute the side as a sequence over the
+    last variable.  Up to order 256 every symbol fits in a byte: the
+    sequences are bytes, and row s composed with a sequence idx is
+    ``idx.translate`` of row s padded to 256 bytes.  Above 256 they are
+    lists, composed one entry at a time.  A malformed identity raises
+    ValueError.
     """
     outer, last, sides = _parse_identity(identity)
-    t = [list(row) for row in g.table]
-    ids = list(range(g.order))
-    left, right = [_as_list(*_compile(term, last, outer, t, ids), g.order)
+    n = g.order
+    if n <= 256:
+        t = [bytes(row) for row in g.table]
+        ids = bytes(range(n))
+        padded = [row + bytes(256 - n) for row in t]
+
+        def compose(s, idx):
+            return idx.translate(padded[s])
+    else:
+        t = [list(row) for row in g.table]
+        ids = list(range(n))
+
+        def compose(s, idx):
+            row = t[s]
+            return [row[v] for v in idx]
+    left, right = [_as_sequence(*_compile(term, last, outer, t, ids, compose), ids)
                    for term in sides]
-    for env in product(range(g.order), repeat=len(outer)):
+    for env in product(range(n), repeat=len(outer)):
         u, v = left(env), right(env)
         if u != v:
             return env + (next(i for i in ids if u[i] != v[i]),)

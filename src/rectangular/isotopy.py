@@ -12,6 +12,7 @@ inverts a witness.  Relabeling by sigma is the triple (sigma^-1, sigma^-1, sigma
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations
 
 from .core import (
@@ -36,12 +37,22 @@ def apply_isotopy(g: Groupoid, t: IsotopyTriple) -> Groupoid:
     return make_groupoid(g.order, next(images(g.flat())))
 
 
+def _isotopy_profile(g: Groupoid) -> tuple[list[int], list[int], list[int]]:
+    """Three sorted counts every isotope of g shares: the distinct symbols
+    of each row, those of each column, and the frequency of each symbol."""
+    t = g.table
+    return (sorted(len(set(row)) for row in t),
+            sorted(len(set(col)) for col in zip(*t)),
+            sorted(Counter(e for row in t for e in row).values()))
+
+
 def are_isotopic(g: Groupoid, h: Groupoid) -> IsotopyTriple | None:
     """Search for a witness mapping g to h, or None.
 
-    Iterates (alpha, beta) in lexicographic order; gamma is induced cell by
-    cell and checked for consistency, which cuts the search from n!^3 to
-    n!^2.  The first witness found is returned.
+    Tables whose isotopy profiles differ answer None at once.  Otherwise
+    the search iterates (alpha, beta) in lexicographic order; gamma is
+    induced cell by cell and checked for consistency, which cuts the search
+    from n!^3 to n!^2.  The first witness found is returned.
     """
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
@@ -50,6 +61,8 @@ def are_isotopic(g: Groupoid, h: Groupoid) -> IsotopyTriple | None:
         raise CapacityError(
             f"isotopy search is factorial; order {n} exceeds bound {ISOTOPY_SEARCH_BOUND}"
         )
+    if _isotopy_profile(g) != _isotopy_profile(h):
+        return None
     gt, ht = g.table, h.table
     cells = [(a, b) for a in range(n) for b in range(n)]
     for alpha in permutations(range(n)):

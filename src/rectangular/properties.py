@@ -11,8 +11,10 @@ Most predicates are one of three computations:
   the rest) come from one table, ``NAMED_IDENTITIES``, which also gives
   their ``check`` names.  Each identity is checked by one evaluator,
   ``core.identity_counterexample``, which ``FiniteGroup`` also uses for
-  associativity.  Its variables are scanned in alphabetical order, the last
-  one fastest, so the witness is the lexicographically first failing tuple.
+  associativity.  It computes each side as a sequence over the last
+  variable (``bytes`` composed by ``bytes.translate`` up to order 256, a
+  list above), and scans the other variables in alphabetical order, so the
+  witness is the lexicographically first failing tuple.
 * Unique two-step paths (p2, p4, matrix symmetry and ``derive_plus``) go
   through ``core.two_step_middles``, on graph pairs from ``core``'s model
   conversions.

@@ -6,7 +6,7 @@ disagreement always points at exactly one side.
 """
 
 import warnings
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb
 
 from rectangular.core import BoolMatrix, GraphPair, Groupoid, PartialArray
@@ -110,16 +110,18 @@ def literal_identity_violation(name: str, g: Groupoid):
     return None
 
 
-class _Element:
-    """A symbol of a table; Python's * on two of them is the table's product."""
+class _Elements:
+    """Symbols of a table, one per tuple of a block of tuples; Python's * on
+    two of them is the table's product, tuple by tuple."""
 
-    def __init__(self, table, value):
-        self.table, self.value = table, value
+    def __init__(self, table, values):
+        self.table, self.values = table, values
 
     def __mul__(self, other):
-        if not isinstance(other, _Element):
+        if not isinstance(other, _Elements):
             return NotImplemented
-        return _Element(self.table, self.table[self.value][other.value])
+        return _Elements(self.table, [self.table[a][b]
+                                      for a, b in zip(self.values, other.values)])
 
 
 def identity_violation_by_eval(g: Groupoid, identity: str):
@@ -127,25 +129,47 @@ def identity_violation_by_eval(g: Groupoid, identity: str):
     letters of identity in alphabetical order, each side read by Python's
     own parser with * as the table's product; None where it holds, and
     "malformed" where Python cannot read both sides as products of letters.
+
+    Each side is evaluated on a block of consecutive tuples at once.
     """
     sides = identity.split("=")
     if len(sides) != 2:
         return "malformed"
     names = sorted({ch for ch in identity if ch.isalpha()})
-    for values in product(range(g.order), repeat=len(names)):
-        env = {name: _Element(g.table, v) for name, v in zip(names, values)}
+    try:
+        with warnings.catch_warnings():
+            # a string such as "1(x)" compiles with a SyntaxWarning
+            # before it fails with a TypeError
+            warnings.simplefilter("ignore", SyntaxWarning)
+            # eval drops the leading blanks of a string; compile does not
+            codes = [compile(side.lstrip(" \t"), "<side>", "eval") for side in sides]
+    except SyntaxError:
+        return "malformed"
+    tuples = product(range(g.order), repeat=len(names))
+    while block := list(islice(tuples, 4096)):
+        env = {name: _Elements(g.table, list(column))
+               for name, column in zip(names, zip(*block))}
         try:
-            with warnings.catch_warnings():
-                # a string such as "1(x)" compiles with a SyntaxWarning
-                # before it fails with a TypeError
-                warnings.simplefilter("ignore", SyntaxWarning)
-                left, right = (eval(side, {"__builtins__": {}}, env) for side in sides)
-        except (SyntaxError, TypeError, NameError):
+            left, right = (eval(code, {"__builtins__": {}}, env) for code in codes)
+        except (TypeError, NameError):
             return "malformed"
-        if not (isinstance(left, _Element) and isinstance(right, _Element)):
+        if not (isinstance(left, _Elements) and isinstance(right, _Elements)):
             return "malformed"
-        if left.value != right.value:
-            return values
+        for values, u, v in zip(block, left.values, right.values):
+            if u != v:
+                return values
+    return None
+
+
+def isotopic_by_triples(g: Groupoid, h: Groupoid):
+    """The first (alpha, beta, gamma) image sequences, in lexicographic
+    order, with h(a, b) = gamma^-1(g(alpha(a), beta(b))) in every cell, or
+    None: a literal walk over all n!^3 triples."""
+    n = g.order
+    for alpha, beta, gamma in product(permutations(range(n)), repeat=3):
+        if all(gamma[h.table[a][b]] == g.table[alpha[a]][beta[b]]
+               for a in range(n) for b in range(n)):
+            return alpha, beta, gamma
     return None
 
 
@@ -208,6 +232,13 @@ def isotopy_reps_by_merging(iso_reps) -> tuple[Groupoid, ...]:
 def random_groupoid(rng, n: int) -> Groupoid:
     return Groupoid(n, tuple(tuple(rng.randrange(n) for _ in range(n))
                              for _ in range(n)))
+
+
+def one_cell_change(g: Groupoid, a: int, b: int) -> Groupoid:
+    """g with the symbol in cell (a, b) moved on to the next one, mod n."""
+    rows = [list(row) for row in g.table]
+    rows[a][b] = (rows[a][b] + 1) % g.order
+    return Groupoid(g.order, tuple(map(tuple, rows)))
 
 
 def random_partial(rng, n: int, fill: float) -> PartialArray:

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -23,6 +24,8 @@ from rectangular.core import (
     transpose,
 )
 from rectangular import fixtures as fx
+from rectangular.construct import evans_central, rectangular_band
+from rectangular.isotopy import relabel
 
 import oracles
 
@@ -212,8 +215,14 @@ def test_identity_whitespace_is_ignored():
     assert identity_counterexample(g, " ( x ) * x = x ") == (1,)
 
 
+# orders 1-3, then seeded relabelings at orders 16 and 64 that satisfy some
+# identities, and a one-cell change of each
+_LARGE = [relabel(g, Permutation(oracles.random_permutation(random.Random(seed), g.order)))
+          for seed, g in enumerate([evans_central(4), rectangular_band(4, 4),
+                                    evans_central(8), rectangular_band(8, 8)])]
 IDENTITY_TABLES = [make_groupoid(1, [0]), make_groupoid(2, [0, 0, 1, 0]),
-                   make_groupoid(3, [1, 2, 0, 0, 0, 2, 2, 1, 1])]
+                   make_groupoid(3, [1, 2, 0, 0, 0, 2, 2, 1, 1])] + _LARGE + [
+    oracles.one_cell_change(g, g.order // 3, g.order // 2) for g in _LARGE]
 
 
 IDENTITY_ALPHABET = "xyz*()= 1"

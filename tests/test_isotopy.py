@@ -13,6 +13,7 @@ from rectangular.core import (
 from rectangular.construct import constant_groupoid, evans_central, rectangular_band
 from rectangular.census import iter_rectangular_tables
 from rectangular.isotopy import (
+    _isotopy_profile,
     apply_isotopy,
     are_isomorphic,
     are_isotopic,
@@ -128,6 +129,29 @@ class TestAreIsotopic:
                 for k in tables:
                     if are_isotopic(g, h) and are_isotopic(h, k):
                         assert are_isotopic(g, k) is not None
+
+    def test_witness_is_the_first_triple_of_the_literal_walk(self):
+        # all order-2 pairs, then seeded order-3 pairs: half of them
+        # isotopes, and pairs that share their isotopy profile, so that
+        # the full search decides and finds no witness for some of them
+        rng = random.Random(37)
+        tables = list(oracles.all_tables(2))
+        pairs = [(g, h) for g in tables for h in tables]
+        for _ in range(150):
+            g = oracles.random_groupoid(rng, 3)
+            h = (apply_isotopy(g, random_triple(rng, 3)) if rng.random() < 0.5
+                 else oracles.random_groupoid(rng, 3))
+            pairs.append((g, h))
+        searched_none = 0
+        while searched_none < 10:
+            g, h = oracles.random_groupoid(rng, 3), oracles.random_groupoid(rng, 3)
+            if _isotopy_profile(g) == _isotopy_profile(h):
+                pairs.append((g, h))
+                searched_none += oracles.isotopic_by_triples(g, h) is None
+        for g, h in pairs:
+            w = are_isotopic(g, h)
+            got = None if w is None else (w.alpha.images, w.beta.images, w.gamma.images)
+            assert got == oracles.isotopic_by_triples(g, h)
 
     def test_order_mismatch_and_capacity(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,14 @@ import rectangular
 from rectangular import properties
 from rectangular.census import iter_rectangular_tables
 from rectangular.construct import evans_central, rectangular_band
-from rectangular.core import BoolMatrix, FiniteGroup, GraphPair, Groupoid, PartialArray
+from rectangular.core import (
+    BoolMatrix,
+    FiniteGroup,
+    GraphPair,
+    Groupoid,
+    PartialArray,
+    identity_counterexample,
+)
 from rectangular.transform import graph_pair_to_groupoid
 
 import oracles
@@ -54,6 +61,23 @@ def test_identity_evaluator_matches_literal_scan(name):
         assert violation(g) == want, (name, g.table)
         found += want is not None
     assert 0 < found < len(TABLES)
+
+
+@pytest.mark.parametrize("m", [16, 17])
+def test_identity_evaluator_either_side_of_order_256(m):
+    # order 256 is the largest held as bytes, order 289 is held as lists;
+    # Evans's groupoid is central, and a full literal scan of it is too slow
+    g = evans_central(m)
+    assert properties.centrality_violation(g) is None
+    changed = [oracles.one_cell_change(g, a, b) for a, b in [(0, 0), (1, 200), (3, 77)]]
+    for h in changed:
+        assert properties.centrality_violation(h) == \
+            oracles.literal_identity_violation("centrality_violation", h)
+    for h in [g] + changed:
+        assert properties.associativity_violation(h) == \
+            oracles.literal_identity_violation("associativity_violation", h)
+        assert identity_counterexample(h, "x*y=y*x") == \
+            oracles.identity_violation_by_eval(h, "x*y=y*x")
 
 
 def _middles_or_error(fn, *args):
