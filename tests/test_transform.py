@@ -8,6 +8,7 @@ from rectangular import fixtures as fx
 from rectangular.core import (
     BoolMatrix,
     GraphPair,
+    Groupoid,
     IsotopyTriple,
     Partition,
     Permutation,
@@ -225,6 +226,27 @@ class TestSquareLift:
                 for b in range(n * n):
                     assert proj(lift.table[a][b]) == g.table[proj(a)][proj(b)]
             assert seen == set(range(n))
+
+
+def test_pair_constructors_match_their_pair_definitions():
+    # each pair is numbered by its place in product(range(n), range(m)),
+    # which is the row-major order with the left factor major
+    def literal(n, m, op):
+        pairs = list(product(range(n), range(m)))
+        return Groupoid(n * m, tuple(tuple(pairs.index(op(x, y)) for y in pairs)
+                                     for x in pairs))
+
+    rng = random.Random(7)
+    for n, m in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        assert rectangular_band(n, m) == literal(n, m, lambda x, y: (x[0], y[1]))
+        g = oracles.random_groupoid(rng, n)
+        h = oracles.random_groupoid(rng, m)
+        assert direct_product(g, h) == literal(
+            n, m, lambda x, y: (g.table[x[0]][y[0]], h.table[x[1]][y[1]]))
+    for n in (1, 2, 3, 4):
+        assert evans_central(n) == literal(n, n, lambda x, y: (x[1], y[0]))
+        g = oracles.random_groupoid(rng, n)
+        assert square_lift(g) == literal(n, n, lambda x, y: (g.table[x[0]][y[0]], y[0]))
 
 
 SMALL_RECTANGULAR = [g for n in (1, 2, 3) for g in iter_rectangular_tables(n)]
