@@ -1,9 +1,11 @@
 """Exhaustive censuses: rectangular tables, central groupoids (BB = J
 matrices), and one-element blow-ups of rectangular bands.
 
-Every rectangular search, the band blow-ups included, runs through one
-placement engine, ``_placements``: it fills given cells of a partial table
-and keeps each symbol's cells a rectangle at every step.  The central
+Every rectangular table search runs through one placement engine,
+``_placements``: it fills given cells of a partial table and keeps each
+symbol's cells a rectangle at every step.  The band blow-ups run no search:
+they are counted in closed form, a sum over the periodic points of the
+corner maps, up to band order 10 000.  The central
 search works on the matrix model: row i's out-neighbours must index rows
 that tile the column set.  BB = J forces BJ = JB, hence every row and
 column sum equals sqrt(n) and the trace is sqrt(n), so loops can be pinned
@@ -39,9 +41,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
-from .construct import rectangular_band
 from .core import (
     CapacityError,
     Groupoid,
@@ -58,7 +59,7 @@ RECT_ISOTOPY_BOUND = 3
 ITER_BOUND = 5            # streaming generator
 CENTRAL_BOUND = 16
 ORBIT_BOUND = 10 ** 5     # largest relabeling group orbit absorption walks
-BLOW_UP_BOUND = 12
+BLOW_UP_BOUND = 10 ** 4   # band order n*m of the blow-up count
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,9 @@ def _placements(table: list[list[int]], cells: list[tuple[int, int]], options: l
     every symbol's rectangle consistent; -1 marks an empty cell.
 
     Yields the table itself, filled in place, once per complete filling.
+    The censuses start from an empty table; the test oracle that counts
+    band blow-ups by search starts from the band with its new row and
+    column empty.
     """
     n = len(table)
     row_masks = [0] * n
@@ -402,18 +406,24 @@ def enumerate_band_blow_ups(n: int, m: int) -> int:
     column, (a,b)*e = (a, g(a)) for a map g back.  It is rectangular exactly
     when g o f has exactly one fixed point q, which pins e*e = (f(q), q).  So
     the result is the number of map pairs (f, g) where g o f has exactly one
-    fixed point.  The closed form n^(m-1) * m^(n-1) * (n+m-1) counts only
-    the pairs where that point is the only periodic point of g o f; it
-    agrees only when min(n, m) <= 2 (at 3 x 3 it gives 405, not 423).
+    fixed point, counted in closed form by the number k of periodic points
+    of g o f.  They lie on alternating cycles through k points of each
+    side, chosen in C(n,k) C(m,k) ways; f maps them onto each other in k!
+    ways and g in the k D(k-1) ways that leave g o f one fixed point, D
+    counting derangements; the other points form a rooted forest onto the
+    cycles, in k(n+m-k) n^(m-k-1) m^(n-k-1) ways.  The k = 1 term is the
+    paper's n^(m-1) m^(n-1) (n+m-1), the only one when min(n, m) <= 2; at
+    3 x 3 the terms are 405 + 0 + 18 = 423.
     """
     if n < 1 or m < 1:
         raise ValueError("both factors must be positive")
-    size = n * m
-    if size > BLOW_UP_BOUND:
+    if n * m > BLOW_UP_BOUND:
         raise CapacityError(f"band blow-up census is bounded at band order {BLOW_UP_BOUND}")
-    band = rectangular_band(n, m)
-    e = size  # the new element: fill its row and column around the band
-    table = [list(row) + [-1] for row in band.table] + [[-1] * (size + 1)]
-    cells = [(e, y) for y in range(size + 1)] + [(x, e) for x in range(size)]
-    # products stay inside the band
-    return sum(1 for _ in _placements(table, cells, [range(size)] * len(cells)))
+    total, derangements, before = 0, 1, 0  # D(k-1) and D(k-2)
+    for k in range(1, min(n, m) + 1):
+        # an exponent is -1 where k = m or k = n: raise both by one and
+        # divide n m back out, which is exact
+        forest = k * (n + m - k) * n ** (m - k) * m ** (n - k) // (n * m)
+        total += comb(n, k) * comb(m, k) * factorial(k) * k * derangements * forest
+        derangements, before = (k - 1) * (derangements + before), derangements
+    return total

@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--class", dest="klass", required=True,
                         choices=("rectangular", "central", "band-blowups"))
     p_enum.add_argument("--order", required=True,
-                        help="N, or NxM for band-blowups")
+                        help="N, or NxM for band-blowups (closed-form count, N*M <= 10000)")
     p_enum.add_argument("--up-to", dest="up_to", choices=("labeled", "iso", "isotopy"),
                         help="iso by default; band-blowups takes labeled only")
     p_enum.add_argument("--long-run", dest="long_run", action="store_true",

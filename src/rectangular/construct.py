@@ -3,8 +3,8 @@ one-element and split extensions, the partition construction, and graph
 pairs from group factorizations.
 
 Abstract carriers (A x B and the like) are always flattened row-major with
-the left factor major, so every constructor returns plain structures on
-``0..n-1``.
+the left factor major (``core.pair_groupoid``), so every constructor
+returns plain structures on ``0..n-1``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .core import (
     bits_of,
     mask_of,
     opposite,
+    pair_groupoid,
 )
 from .properties import is_rectangular
 
@@ -46,24 +47,14 @@ def evans_central(m: int) -> Groupoid:
     """
     if m < 1:
         raise ValueError(f"side must be positive, got {m}")
-    table = []
-    for _a in range(m):
-        for b in range(m):
-            row = tuple(b * m + c for c in range(m) for _d in range(m))
-            table.append(row)
-    return Groupoid(m * m, tuple(table))
+    return pair_groupoid(m, m, lambda a, b, c, d: (b, c))
 
 
 def rectangular_band(n: int, m: int) -> Groupoid:
     """The idempotent associative groupoid on pairs with (a,b)*(c,d) = (a,d)."""
     if n < 1 or m < 1:
         raise ValueError("both factors must be positive")
-    table = []
-    for a in range(n):
-        for _b in range(m):
-            row = tuple(a * m + d for _c in range(n) for d in range(m))
-            table.append(row)
-    return Groupoid(n * m, tuple(table))
+    return pair_groupoid(n, m, lambda a, b, c, d: (a, d))
 
 
 def simple_blow_up(g: Groupoid, a: int) -> Groupoid:

@@ -10,7 +10,9 @@ The kernels every layer shares live here too: the two-step path count
 (``two_step_middles``), the symbols of each line (``line_symbol_sets``), the
 identity evaluator (``identity_counterexample``, which holds a side over
 its last variable as ``bytes`` up to order 256, composing rows with
-``bytes.translate``, and as a list above 256), the model conversions
+``bytes.translate``, and as a list above 256), the pair carrier
+(``pair_groupoid``, pair (a, b) of an n x m carrier being a*m + b), the
+model conversions
 (``groupoid_to_graph_pair``, ``graph_pair_to_groupoid``,
 ``graph_pair_to_matrices``, ``matrices_to_graph_pair``) and the isotope
 kernel (``flat_isotopes``), which states the one isotopy convention
@@ -155,29 +157,22 @@ def _parse_term(text: str, i: int) -> tuple[str | tuple, int]:
     return term, i
 
 
-def _as_sequence(fn, varies: bool, ids):
-    """A compiled term as a closure that always returns a sequence over the
-    last variable, of the type of ids."""
-    if varies:
-        return fn
-    seq, n = type(ids), len(ids)
-    return lambda env: seq((fn(env),)) * n
-
-
-def _compile(term, last: str, outer: tuple, t: list, ids, compose):
+def _compile(term, last: str, outer: tuple, t: list, ids, consts, compose):
     """(closure, varies) for a term.
 
     The closure maps the values of the ``outer`` variables, all but
     ``last``, to the term's value: a sequence over every value of ``last``,
     of the type of ids, when varies is true, else one symbol.  t holds the
-    table's rows as such sequences, and compose(s, idx) is the sequence
-    s*v over the v in the sequence idx.
+    table's rows as such sequences, consts[s] is the constant sequence of
+    s, and compose(s, idx) is the sequence s*v over the v in the sequence
+    idx.
     """
     if isinstance(term, str):
         if term == last:
             return (lambda env: ids), True
         return itemgetter(outer.index(term)), False
-    (lf, lv), (rf, rv) = (_compile(side, last, outer, t, ids, compose) for side in term)
+    (lf, lv), (rf, rv) = (_compile(side, last, outer, t, ids, consts, compose)
+                          for side in term)
     if not (lv or rv):
         return (lambda env: t[lf(env)][rf(env)]), False
     if not lv:
@@ -188,7 +183,8 @@ def _compile(term, last: str, outer: tuple, t: list, ids, compose):
     if term[0] == last and not rv:  # z*s over every z is column s
         cols = [seq(col) for col in zip(*t)]
         return (lambda env: cols[rf(env)]), True
-    rf = _as_sequence(rf, rv, ids)
+    if not rv:
+        return (lambda env: seq([t[u][v] for u, v in zip(lf(env), consts[rf(env)])])), True
     return (lambda env: seq([t[u][v] for u, v in zip(lf(env), rf(env))])), True
 
 
@@ -237,6 +233,7 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     if n <= 256:
         t = [bytes(row) for row in g.table]
         ids = bytes(range(n))
+        consts = [bytes((s,)) * n for s in ids]
         padded = [row + bytes(256 - n) for row in t]
 
         def compose(s, idx):
@@ -244,12 +241,16 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     else:
         t = [list(row) for row in g.table]
         ids = list(range(n))
+        consts = [[s] * n for s in ids]
 
         def compose(s, idx):
             row = t[s]
             return [row[v] for v in idx]
-    left, right = [_as_sequence(*_compile(term, last, outer, t, ids, compose), ids)
-                   for term in sides]
+
+    def sequence(term):  # a side that does not vary is one of consts
+        fn, varies = _compile(term, last, outer, t, ids, consts, compose)
+        return fn if varies else lambda env: consts[fn(env)]
+    left, right = map(sequence, sides)
     for env in product(range(n), repeat=len(outer)):
         u, v = left(env), right(env)
         if u != v:
@@ -257,12 +258,19 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     return None
 
 
-def _check_square(order: int, rows, what: str) -> tuple[tuple[int, ...], ...]:
+def _check_square(order: int, rows, what: str, empty: bool = False) -> tuple[tuple, ...]:
+    """rows as a tuple grid, checked to be order x order with every entry an
+    int in 0..order-1, or None (an empty cell) where empty is true."""
     if order < 1:
         raise ValueError(f"{what} order must be positive, got {order}")
     grid = tuple(tuple(r) for r in rows)
     if len(grid) != order or any(len(r) != order for r in grid):
         raise ValueError(f"{what} must be exactly {order}x{order}")
+    for a, row in enumerate(grid):
+        for b, e in enumerate(row):
+            if not (isinstance(e, int) and 0 <= e < order or empty and e is None):
+                raise ValueError(f"entry {e} out of range at ({a},{b}); "
+                                 f"symbols must lie in 0..{order - 1}")
     return grid
 
 
@@ -277,21 +285,23 @@ class Groupoid:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        grid = _check_square(self.order, self.table, "groupoid table")
-        for a, row in enumerate(grid):
-            for b, e in enumerate(row):
-                if not isinstance(e, int) or not 0 <= e < self.order:
-                    raise ValueError(
-                        f"entry {e} out of range at ({a},{b}); "
-                        f"symbols must lie in 0..{self.order - 1}"
-                    )
-        object.__setattr__(self, "table", grid)
+        object.__setattr__(self, "table",
+                           _check_square(self.order, self.table, "groupoid table"))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def flat(self) -> tuple[int, ...]:
         return tuple(e for row in self.table for e in row)
+
+
+def pair_groupoid(n: int, m: int, op) -> Groupoid:
+    """The groupoid on the pairs (a, b) with a < n and b < m, where
+    op(a, b, c, d) is the pair (a,b)*(c,d).  Pair (a, b) is symbol a*m + b:
+    row-major, the left factor major."""
+    pairs = list(product(range(n), range(m)))
+    rows = ([op(a, b, c, d) for c, d in pairs] for a, b in pairs)
+    return Groupoid(n * m, tuple(tuple([x * m + y for x, y in row]) for row in rows))
 
 
 def make_groupoid(order: int, entries: Iterable[int]) -> Groupoid:
@@ -408,16 +418,8 @@ class PartialArray:
     cells: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        grid = tuple(tuple(r) for r in self.cells)
-        if len(grid) != self.order or any(len(r) != self.order for r in grid):
-            raise ValueError(f"cells must be exactly {self.order}x{self.order}")
-        for i, row in enumerate(grid):
-            for j, e in enumerate(row):
-                if e is not None and not 0 <= e < self.order:
-                    raise ValueError(f"entry {e} out of range at ({i},{j})")
-        object.__setattr__(self, "cells", grid)
+        object.__setattr__(self, "cells",
+                           _check_square(self.order, self.cells, "cells", empty=True))
 
     def filled(self) -> Iterator[tuple[int, int, int]]:
         """Yield (row, col, symbol) for every filled cell."""
@@ -588,10 +590,6 @@ class FiniteGroup:
     def __post_init__(self):
         grid = _check_square(self.order, self.table, "group table")
         n = self.order
-        for a, row in enumerate(grid):
-            for b, e in enumerate(row):
-                if not 0 <= e < n:
-                    raise ValueError(f"entry {e} out of range at ({a},{b})")
         object.__setattr__(self, "table", grid)
         identity = next(
             (e for e in range(n)

@@ -16,6 +16,7 @@ from .core import (  # noqa: F401  (the conversions are re-exported)
     graph_pair_to_matrices,
     groupoid_to_graph_pair,
     matrices_to_graph_pair,
+    pair_groupoid,
 )
 from .properties import congruence_violation
 
@@ -50,17 +51,8 @@ def quotient(g: Groupoid, p: Partition) -> Groupoid:
 
 def direct_product(g: Groupoid, h: Groupoid) -> Groupoid:
     """Componentwise product on pairs, flattened as (a, b) -> a*|h| + b."""
-    n, m = g.order, h.order
-    table = []
-    for a in range(n):
-        for b in range(m):
-            row = []
-            for c in range(n):
-                gp_ac = g.table[a][c]
-                for d in range(m):
-                    row.append(gp_ac * m + h.table[b][d])
-            table.append(tuple(row))
-    return Groupoid(n * m, tuple(table))
+    return pair_groupoid(g.order, h.order,
+                         lambda a, b, c, d: (g.table[a][c], h.table[b][d]))
 
 
 def subalgebra(g: Groupoid, subset: set[int] | frozenset[int]) -> Groupoid:
@@ -92,11 +84,4 @@ def square_lift(g: Groupoid) -> Groupoid:
     The lift is rectangular for every input, and first-coordinate projection
     is a surjective homomorphism onto the input.
     """
-    n = g.order
-    table = []
-    for a in range(n):
-        # the product ignores both second coordinates
-        row = tuple(g.table[a][c] * n + c for c in range(n) for _d in range(n))
-        for _b in range(n):
-            table.append(row)
-    return Groupoid(n * n, tuple(table))
+    return pair_groupoid(g.order, g.order, lambda a, b, c, d: (g.table[a][c], c))

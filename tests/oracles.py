@@ -2,13 +2,18 @@
 
 Everything here deliberately avoids the package's bitset machinery: literal
 quantifier loops, plain integer matrix products, and set bookkeeping, so a
-disagreement always points at exactly one side.
+disagreement always points at exactly one side.  The one exception is
+``blow_up_count_by_search``, the census's former cell search over the band's
+new row and column, kept as the search that produced the pinned blow-up
+counts.
 """
 
 import warnings
 from itertools import combinations, islice, permutations, product
 from math import comb
 
+from rectangular.census import _placements
+from rectangular.construct import rectangular_band
 from rectangular.core import BoolMatrix, GraphPair, Groupoid, PartialArray
 
 
@@ -280,29 +285,41 @@ def blow_up_count_exact(n: int, m: int) -> int:
                for k in range(1, min(n, m) + 1))
 
 
-def blow_up_pair_counts(n: int, m: int) -> tuple[int, int]:
+def blow_up_count_by_search(n: int, m: int) -> int:
+    """Count the blow-ups of the n x m band by cell search: the band's table
+    with an empty new row and column, filled by the census placement engine
+    with products inside the band, each symbol's cells kept a rectangle."""
+    band = rectangular_band(n, m)
+    size = n * m
+    e = size  # the new element: fill its row and column around the band
+    table = [list(row) + [-1] for row in band.table] + [[-1] * (size + 1)]
+    cells = [(e, y) for y in range(size + 1)] + [(x, e) for x in range(size)]
+    # products stay inside the band
+    return sum(1 for _ in _placements(table, cells, [range(size)] * len(cells)))
+
+
+def blow_up_pair_counts(n: int, m: int) -> dict[int, int]:
     """Walk all n^m * m^n corner map pairs f: B->A, g: A->B of the n x m band.
 
-    Returns the number of pairs where g o f has exactly one fixed point (the
-    blow-up count) and the number where that fixed point is also the only
-    periodic point of g o f (spanning trees of K_{n,m} with a marked edge).
+    Counts the pairs where g o f has exactly one fixed point (the blow-ups)
+    by the number k of periodic points of g o f.  The k = 1 pairs, whose
+    fixed point is the only periodic point, are the spanning trees of
+    K_{n,m} with a marked edge.
     """
-    exact = single = 0
+    counts: dict[int, int] = {}
     for f in product(range(n), repeat=m):
         for g in product(range(m), repeat=n):
             h = [g[f[b]] for b in range(m)]
             if sum(1 for b in range(m) if h[b] == b) != 1:
                 continue
-            exact += 1
             # m steps carry every point of B onto the cycle it falls into
             periodic = set()
             for b in range(m):
                 for _ in range(m):
                     b = h[b]
                 periodic.add(b)
-            if len(periodic) == 1:
-                single += 1
-    return exact, single
+            counts[len(periodic)] = counts.get(len(periodic), 0) + 1
+    return counts
 
 
 def symmetric_group_3():

@@ -5,7 +5,8 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Two criteria record where
 the paper's stated claims differ from what holds under this package's
 definitions, and each asserts the fact that holds: 02, that the closed-form
 extension count n^(m-1) * m^(n-1) * (n+m-1) counts spanning trees with a
-marked edge and so matches the blow-up count only when min(n, m) <= 2; 07d,
+marked edge, the first term of the exact sum over periodic points, and so
+matches the blow-up count only when min(n, m) <= 2; 07d,
 that "partitioned both ways iff associative" needs idempotence.  Every
 criterion is meant to pass, so any failure here is a regression.
 """
@@ -89,27 +90,30 @@ def test_criterion_01_central_census_order_nine():
 def test_criterion_02_band_extension_counts():
     # A one-element extension of the n x m band is fixed by its new row, a
     # map f: B->A, and its new column, a map g: A->B; it is rectangular
-    # exactly when g o f has one fixed point, which pins the corner.  Three
-    # independent counts of these must agree at every size the search
-    # allows: the cell search, the inclusion-exclusion oracle and a literal
-    # walk over all (f, g).  The published closed form counts the pairs whose
-    # fixed point is the only periodic point of g o f (spanning trees of
-    # K_{n,m} with a marked edge): it equals that literal count everywhere,
-    # and the blow-up count only when min(n, m) <= 2.  At (3,3) the paper's
-    # 405 is the tree count; the blow-ups number 423.
+    # exactly when g o f has one fixed point, which pins the corner.  Four
+    # independent counts of these must agree at every size the cell search
+    # reaches: the census's periodic-point sum, the cell search, the
+    # inclusion-exclusion oracle and a literal walk over all (f, g).  The
+    # published closed form is the sum's k = 1 term, the pairs whose fixed
+    # point is the only periodic point of g o f (spanning trees of K_{n,m}
+    # with a marked edge): it equals that walk count everywhere, and the
+    # blow-up count only when min(n, m) <= 2.  At (3,3) the paper's 405 is
+    # the tree count; the blow-ups number 423 = 405 + 0 + 18 over k = 1, 2, 3.
     closed = lambda n, m: n ** (m - 1) * m ** (n - 1) * (n + m - 1)
     pinned = {(1, 1): 1, (2, 2): 12, (2, 3): 48, (3, 2): 48,
               (3, 3): 423, (3, 4): 2808}
     sizes = [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
-    ok = closed(3, 3) == 405
+    ok = closed(3, 3) == 405 and oracles.blow_up_pair_counts(3, 3) == {1: 405, 3: 18}
     for n, m in sizes:
-        exact, single = oracles.blow_up_pair_counts(n, m)
+        by_periodic = oracles.blow_up_pair_counts(n, m)
+        exact = sum(by_periodic.values())
         ok = ok and enumerate_band_blow_ups(n, m) == exact
+        ok = ok and oracles.blow_up_count_by_search(n, m) == exact
         ok = ok and oracles.blow_up_count_exact(n, m) == exact
         ok = ok and pinned.get((n, m), exact) == exact
-        ok = ok and closed(n, m) == single
-        ok = ok and (exact == single) == (min(n, m) <= 2)
-    report(2, f"blow-up counts agree three ways on {len(sizes)} band sizes; "
+        ok = ok and closed(n, m) == by_periodic[1]
+        ok = ok and (exact == by_periodic[1]) == (min(n, m) <= 2)
+    report(2, f"blow-up counts agree four ways on {len(sizes)} band sizes; "
               "the closed form counts marked spanning trees", ok)
 
 

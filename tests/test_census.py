@@ -375,12 +375,10 @@ class TestBandBlowUps:
         assert enumerate_band_blow_ups(2, 2) == 12
 
     def test_matches_coincidence_count_everywhere_feasible(self):
-        # dual route: cell-level search vs the closed-form count of corner
-        # map pairs with a unique coincidence point
-        for n in range(1, 10):
-            for m in range(1, 10):
-                if n * m > 9:
-                    continue
+        # dual route: the periodic-point sum vs inclusion-exclusion over the
+        # coincidence points of the corner maps
+        for n in range(1, 30):
+            for m in range(1, 30):
                 assert enumerate_band_blow_ups(n, m) == \
                     oracles.blow_up_count_exact(n, m), (n, m)
 
@@ -394,8 +392,10 @@ class TestBandBlowUps:
         assert formula(3, 3) == 405
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            enumerate_band_blow_ups(4, 4)
+        assert enumerate_band_blow_ups(4, 4) == oracles.blow_up_count_exact(4, 4)
+        for n, m in [(1, 10001), (101, 100)]:
+            with pytest.raises(CapacityError):
+                enumerate_band_blow_ups(n, m)
         with pytest.raises(ValueError):
             enumerate_band_blow_ups(0, 2)
 

@@ -12,6 +12,7 @@ from rectangular.core import (
     IsotopyTriple,
     Mapping,
     Partition,
+    PartialArray,
     PartitionSystem,
     Permutation,
     Transversal,
@@ -114,6 +115,17 @@ def test_partial_array_validation():
     assert not fx.B3.is_total()
     total = fx.B3.__class__(2, ((0, 1), (1, 0)))
     assert total.to_groupoid() == make_groupoid(2, [0, 1, 1, 0])
+
+
+def test_non_integer_entries_are_value_errors():
+    # one entry check for every square table: an int in range, or None in a
+    # partial array's empty cell
+    with pytest.raises(ValueError, match=r"entry 0.5 out of range at \(0,0\)"):
+        PartialArray(2, ((0.5, None), (None, None)))
+    with pytest.raises(ValueError, match=r"entry 1.0 out of range at \(0,1\)"):
+        FiniteGroup(2, ((0, 1.0), (1, 0)))
+    with pytest.raises(ValueError, match=r"entry None out of range at \(1,0\)"):
+        Groupoid(2, ((0, 0), (None, 0)))
 
 
 def test_permutation_validation_and_inverse():

@@ -410,6 +410,15 @@ class TestCliEnumerate:
         assert main(["enumerate", "--class", "band-blowups", "--order", "2x2"]) == 0
         assert capsys.readouterr().out == "12\n"
 
+    def test_band_blowups_at_band_order_sixteen(self, capsys):
+        assert main(["enumerate", "--class", "band-blowups", "--order", "4x4"]) == 0
+        assert capsys.readouterr().out == f"{oracles.blow_up_count_exact(4, 4)}\n"
+
+    def test_band_blowups_beyond_band_order_ten_thousand_exit_three(self, capsys):
+        assert main(["enumerate", "--class", "band-blowups", "--order", "101x100"]) == 3
+        assert capsys.readouterr() == (
+            "", "capacity: band blow-up census is bounded at band order 10000\n")
+
     def test_band_blowups_take_labeled_only(self, capsys):
         argv = ["enumerate", "--class", "band-blowups", "--order", "2x2", "--emit", "json"]
         assert main(argv) == 0

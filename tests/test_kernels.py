@@ -6,8 +6,10 @@ kernel must return the middle-node table or the first pair whose plain path
 count is not 1, through every public function built on it.
 """
 
+import ast
 import importlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +205,26 @@ def test_identity_table_binds_each_function_under_its_own_name():
                  "satisfies_dually_partitioned_eqs", "satisfies_partitioned_eqs",
                  "satisfies_undirected_eq"):
         assert getattr(rectangular, name) is getattr(properties, name)
+
+
+def test_modules_use_every_name_they_import():
+    # __init__ re-exports by design, as do imports marked noqa: F401 on the
+    # statement's first line or the name's own line
+    unused = []
+    for path in sorted(Path(rectangular.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                marked = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and not any("noqa: F401" in line for line in marked):
+                    unused.append((path.name, name))
+    assert unused == []
