@@ -28,6 +28,33 @@ def quasi_rectangular(g: Groupoid) -> bool:
     return True
 
 
+def rectangularity_witness(g: Groupoid) -> tuple[int, int, int] | None:
+    """The least symbol x whose cells are not all of its rows x its
+    columns, with the first cell of that product, in row-major order, that
+    does not hold x; None where every symbol fills its rectangle."""
+    n = g.order
+    cells = {x: set() for x in range(n)}
+    for a in range(n):
+        for b in range(n):
+            cells[g.table[a][b]].add((a, b))
+    for x in range(n):
+        rows = sorted({a for a, _ in cells[x]})
+        cols = sorted({b for _, b in cells[x]})
+        for r in rows:
+            for c in cols:
+                if (r, c) not in cells[x]:
+                    return (x, r, c)
+    return None
+
+
+def missing_symbol(g: Groupoid) -> tuple[int] | None:
+    """The least symbol that occurs in no row of the table, or None."""
+    for x in range(g.order):
+        if all(x not in row for row in g.table):
+            return (x,)
+    return None
+
+
 def p1_by_sets(g: Groupoid) -> bool:
     """Pair-disjointness via explicit pair sets."""
     row_pairs = set()

@@ -140,6 +140,28 @@ def test_p1_and_partial_p1_match_literal_witness():
             assert properties.partial_p1_violation(p) == oracles.shared_pair_witness(p.cells)
 
 
+def _incidence_tables():
+    """Every order-3 table, then Evans's order-256 groupoid and the 16 x 16
+    band, each with copies that have one cell changed."""
+    yield from oracles.all_tables(3)
+    rng = random.Random(35)
+    for g in (evans_central(16), rectangular_band(16, 16)):
+        yield g
+        for _ in range(12):
+            yield oracles.one_cell_change(g, rng.randrange(256), rng.randrange(256))
+
+
+def test_rectangularity_and_fullness_match_literal_witnesses():
+    outcomes = set()
+    for g in _incidence_tables():
+        want = oracles.rectangularity_witness(g), oracles.missing_symbol(g)
+        assert (properties.rectangularity_violation(g),
+                properties.fullness_violation(g)) == want, g.table
+        outcomes.add((g.order, want[0] is None, want[1] is None))
+    assert outcomes == {(3, a, b) for a in (True, False) for b in (True, False)} | {
+        (256, True, True), (256, False, True)}
+
+
 def test_finite_group_associativity_witness_is_the_first_literal_one():
     # tables with identity 0, so FiniteGroup reaches its associativity check
     rng = random.Random(34)
