@@ -48,8 +48,10 @@ from .core import (
     Groupoid,
     bits_of,
     flat_isotopes,
+    line_symbol_sets,
     make_groupoid,
     mask_of,
+    transpose_bits,
     two_step_middles,
 )
 
@@ -83,7 +85,7 @@ def _can_place(n, table, row_masks, col_masks, r, c, y) -> bool:
         low = rm & -rm
         rm ^= low
         z = table[low.bit_length() - 1][c]
-        if z >= 0 and z != y:
+        if z is not None and z != y:
             return False
     cm = col_masks[y]
     trow = table[r]
@@ -91,28 +93,23 @@ def _can_place(n, table, row_masks, col_masks, r, c, y) -> bool:
         low = cm & -cm
         cm ^= low
         z = trow[low.bit_length() - 1]
-        if z >= 0 and z != y:
+        if z is not None and z != y:
             return False
     return True
 
 
-def _placements(table: list[list[int]], cells: list[tuple[int, int]], options: list):
+def _placements(table: list[list[int | None]], cells: list[tuple[int, int]], options: list):
     """Fill cells[k] of the partial table from options[k], in order, keeping
-    every symbol's rectangle consistent; -1 marks an empty cell.
+    every symbol's rectangle consistent; None marks an empty cell.
 
-    Yields the table itself, filled in place, once per complete filling.
-    The censuses start from an empty table; the test oracle that counts
-    band blow-ups by search starts from the band with its new row and
-    column empty.
+    Each symbol's row and column masks start as the transposes of the
+    table's ``core.line_symbol_sets``.  Yields the table itself, filled in place,
+    once per complete filling.  The censuses start from an empty table; the
+    test oracle that counts band blow-ups by search starts from the band
+    with its new row and column empty.
     """
     n = len(table)
-    row_masks = [0] * n
-    col_masks = [0] * n
-    for r, row in enumerate(table):
-        for c, y in enumerate(row):
-            if y >= 0:
-                row_masks[y] |= 1 << r
-                col_masks[y] |= 1 << c
+    row_masks, col_masks = (list(transpose_bits(sets, n)) for sets in line_symbol_sets(table))
 
     def dfs(idx):
         if idx == len(cells):
@@ -127,7 +124,7 @@ def _placements(table: list[list[int]], cells: list[tuple[int, int]], options: l
             row_masks[y] |= 1 << r
             col_masks[y] |= 1 << c
             yield from dfs(idx + 1)
-            table[r][c] = -1
+            table[r][c] = None
             row_masks[y], col_masks[y] = old_rm, old_cm
 
     yield from dfs(0)
@@ -138,7 +135,7 @@ def _rect_flats(n: int, firsts):
     as a flat tuple, in lex order."""
     cells = [(r, c) for r in range(n) for c in range(n)]
     options = [firsts] + [range(n)] * (n * n - 1)
-    for table in _placements([[-1] * n for _ in range(n)], cells, options):
+    for table in _placements([[None] * n for _ in range(n)], cells, options):
         yield tuple([y for row in table for y in row])
 
 
@@ -200,14 +197,14 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
 
     flats = list(_rect_flats(n, (0,)))
     base = len(flats)
+    if mode == "labeled" and n > RECT_LIST_BOUND:  # the swaps below are a bijection
+        return CensusResult(n, mode, n * base, None,
+                            note=f"listing is bounded at order {RECT_LIST_BOUND}")
     for v in range(1, n):  # the tables with 0*0 = v: swap symbols 0 and v
         swap = [v if y == 0 else 0 if y == v else y for y in range(n)]
         flats.extend(tuple([swap[y] for y in flats[i]]) for i in range(base))
     flats.sort()
     if mode == "labeled":
-        if n > RECT_LIST_BOUND:
-            return CensusResult(n, mode, len(flats), None,
-                                note=f"listing is bounded at order {RECT_LIST_BOUND}")
         return CensusResult(n, mode, len(flats),
                             tuple(make_groupoid(n, f) for f in flats))
 

@@ -93,7 +93,7 @@ def _ints(text: str, option: str) -> list[int]:
     values = []
     for tok in text.replace(",", " ").split():
         try:
-            values.append(int(tok))
+            values.append(formats.strict_int(tok))
         except ValueError:
             raise ValueError(f"{option}: {tok!r} is not an integer") from None
     return values
@@ -157,7 +157,7 @@ def _cmd_construct(args) -> int:
 
 def _parse_order_spec(text: str) -> tuple[int, int | None]:
     try:
-        sides = [int(side) for side in text.split("x", 1)]
+        sides = [formats.strict_int(side) for side in text.split("x", 1)]
     except ValueError:
         raise ValueError(f"--order must be N or NxM, got {text!r}") from None
     return sides[0], (sides[1] if len(sides) > 1 else None)
@@ -231,6 +231,13 @@ def _cmd_transversal(args) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    return formats.strict_int(text)
+
+
+_int.__name__ = "int"  # argparse's error reads "invalid int value: ..."
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--one-based", action="store_true",
@@ -260,17 +267,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cons = sub.add_parser("construct", help="build a structure from parameters")
     cons_sub = p_cons.add_subparsers(dest="kind", required=True)
     c = cons_sub.add_parser("constant", parents=[common])
-    c.add_argument("n", type=int)
-    c.add_argument("a", type=int)
+    c.add_argument("n", type=_int)
+    c.add_argument("a", type=_int)
     c = cons_sub.add_parser("evans", parents=[common])
-    c.add_argument("m", type=int)
+    c.add_argument("m", type=_int)
     c = cons_sub.add_parser("band", parents=[common])
-    c.add_argument("n", type=int)
-    c.add_argument("m", type=int)
+    c.add_argument("n", type=_int)
+    c.add_argument("m", type=_int)
     for name in ("blowup", "left-ext", "right-ext"):
         c = cons_sub.add_parser(name, parents=[common])
         c.add_argument("file")
-        c.add_argument("a", type=int)
+        c.add_argument("a", type=_int)
     for name in ("left-split", "right-split"):
         c = cons_sub.add_parser(name, parents=[common])
         c.add_argument("file_a")
@@ -285,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='one partition per base block, ";"-separated')
     c = cons_sub.add_parser("factorization", parents=[common])
     group = c.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cyclic", type=int, help="cyclic group order")
+    group.add_argument("--cyclic", type=_int, help="cyclic group order")
     group.add_argument("--abelian", help="comma list of cyclic factors")
     c.add_argument("--h", required=True, help="comma list of elements")
     c.add_argument("--k", required=True, help="comma list of elements")

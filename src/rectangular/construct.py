@@ -10,6 +10,7 @@ returns plain structures on ``0..n-1``.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from .core import (
     FiniteGroup,
@@ -19,6 +20,7 @@ from .core import (
     Partition,
     PartitionSystem,
     bits_of,
+    check_construct_order,
     mask_of,
     opposite,
     pair_groupoid,
@@ -35,6 +37,7 @@ def constant_groupoid(n: int, a: int) -> Groupoid:
     """Every product equals a."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    check_construct_order(n)
     if not 0 <= a < n:
         raise ValueError(f"symbol {a} out of range 0..{n - 1}")
     return Groupoid(n, tuple(tuple(a for _ in range(n)) for _ in range(n)))
@@ -122,18 +125,10 @@ def left_split_extension(a: Groupoid, b: Groupoid, f: Mapping, g: Mapping) -> Gr
     """
     _check_split_maps(a, b, f, g)
     na = a.order
-    size = na + b.order
-    table = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            if x < na:
-                row.append(a.table[x][y] if y < na else a.table[x][g.apply(y - na)])
-            else:
-                row.append(na + (b.table[x - na][f.apply(y)] if y < na
-                                 else b.table[x - na][y - na]))
-        table.append(tuple(row))
-    return Groupoid(size, tuple(table))
+    top = [row + tuple([row[v] for v in g.images]) for row in a.table]
+    bottom = [tuple([na + row[v] for v in f.images + tuple(range(b.order))])
+              for row in b.table]
+    return Groupoid(na + b.order, tuple(top + bottom))
 
 
 def right_split_extension(a: Groupoid, b: Groupoid, f: Mapping, g: Mapping) -> Groupoid:
@@ -194,16 +189,17 @@ def extract_partition_system(gp: GraphPair) -> PartitionSystem:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    """Addition modulo n."""
+    """Addition modulo n: the abelian group of one factor."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    return FiniteGroup(n, tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+    return abelian_group(n)
 
 
 def abelian_group(*moduli: int) -> FiniteGroup:
     """Direct product of cyclic groups, flattened row-major."""
     if not moduli or any(m < 1 for m in moduli):
         raise ValueError("moduli must be a nonempty list of positive integers")
+    check_construct_order(prod(moduli))
     # product() lists the elements with the left factor major
     elements = list(product(*(range(m) for m in moduli)))
     index = {x: i for i, x in enumerate(elements)}

@@ -32,6 +32,15 @@ class CapacityError(RuntimeError):
     """A requested computation exceeds its configured size bound."""
 
 
+CONSTRUCT_BOUND = 2048  # the largest order a constructor builds
+
+
+def check_construct_order(order: int) -> None:
+    if order > CONSTRUCT_BOUND:
+        raise CapacityError(
+            f"constructions are bounded at order {CONSTRUCT_BOUND}, got {order}")
+
+
 def bits_of(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -48,12 +57,11 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def transpose_bits(rows: tuple[int, ...], order: int) -> tuple[int, ...]:
-    """Transpose an adjacency given as bitset rows."""
-    cols = [0] * order
-    for i, row in enumerate(rows):
-        for j in bits_of(row):
-            cols[j] |= 1 << i
-    return tuple(cols)
+    """Transpose an adjacency given as bitset rows, through their binary
+    strings: column k of the strings of the rows, last row first, is the
+    binary string of column order-1-k."""
+    cols = zip(*[format(row, f"0{order}b") for row in reversed(rows)])
+    return tuple([int("".join(col), 2) for col in cols])[::-1]
 
 
 def line_symbol_sets(cells) -> tuple[list[int], list[int]]:
@@ -157,22 +165,20 @@ def _parse_term(text: str, i: int) -> tuple[str | tuple, int]:
     return term, i
 
 
-def _compile(term, last: str, outer: tuple, t: list, ids, consts, compose):
+def _compile(term, last: str, outer: tuple, t: list, ids, compose):
     """(closure, varies) for a term.
 
     The closure maps the values of the ``outer`` variables, all but
     ``last``, to the term's value: a sequence over every value of ``last``,
     of the type of ids, when varies is true, else one symbol.  t holds the
-    table's rows as such sequences, consts[s] is the constant sequence of
-    s, and compose(s, idx) is the sequence s*v over the v in the sequence
-    idx.
+    table's rows as such sequences, and compose(s, idx) is the sequence s*v
+    over the v in the sequence idx.
     """
     if isinstance(term, str):
         if term == last:
             return (lambda env: ids), True
         return itemgetter(outer.index(term)), False
-    (lf, lv), (rf, rv) = (_compile(side, last, outer, t, ids, consts, compose)
-                          for side in term)
+    (lf, lv), (rf, rv) = (_compile(side, last, outer, t, ids, compose) for side in term)
     if not (lv or rv):
         return (lambda env: t[lf(env)][rf(env)]), False
     if not lv:
@@ -183,8 +189,8 @@ def _compile(term, last: str, outer: tuple, t: list, ids, consts, compose):
     if term[0] == last and not rv:  # z*s over every z is column s
         cols = [seq(col) for col in zip(*t)]
         return (lambda env: cols[rf(env)]), True
-    if not rv:
-        return (lambda env: seq([t[u][v] for u, v in zip(lf(env), consts[rf(env)])])), True
+    if not rv:  # u*s over the sequence u, for one symbol s
+        return (lambda env: seq([t[u][s] for s in [rf(env)] for u in lf(env)])), True
     return (lambda env: seq([t[u][v] for u, v in zip(lf(env), rf(env))])), True
 
 
@@ -233,7 +239,6 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     if n <= 256:
         t = [bytes(row) for row in g.table]
         ids = bytes(range(n))
-        consts = [bytes((s,)) * n for s in ids]
         padded = [row + bytes(256 - n) for row in t]
 
         def compose(s, idx):
@@ -241,14 +246,14 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     else:
         t = [list(row) for row in g.table]
         ids = list(range(n))
-        consts = [[s] * n for s in ids]
 
         def compose(s, idx):
             row = t[s]
             return [row[v] for v in idx]
 
-    def sequence(term):  # a side that does not vary is one of consts
-        fn, varies = _compile(term, last, outer, t, ids, consts, compose)
+    def sequence(term):  # a side that does not vary is one symbol n times over
+        fn, varies = _compile(term, last, outer, t, ids, compose)
+        consts = None if varies else [type(ids)((s,)) * n for s in ids]
         return fn if varies else lambda env: consts[fn(env)]
     left, right = map(sequence, sides)
     for env in product(range(n), repeat=len(outer)):
@@ -299,6 +304,7 @@ def pair_groupoid(n: int, m: int, op) -> Groupoid:
     """The groupoid on the pairs (a, b) with a < n and b < m, where
     op(a, b, c, d) is the pair (a,b)*(c,d).  Pair (a, b) is symbol a*m + b:
     row-major, the left factor major."""
+    check_construct_order(n * m)
     pairs = list(product(range(n), range(m)))
     rows = ([op(a, b, c, d) for c, d in pairs] for a, b in pairs)
     return Groupoid(n * m, tuple(tuple([x * m + y for x, y in row]) for row in rows))
@@ -461,10 +467,7 @@ class Permutation:
         return self.images[x]
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(tuple(inv))
+        return Permutation(tuple(sorted(range(self.order), key=self.images.__getitem__)))
 
 
 def compose(outer: Permutation, inner: Permutation) -> Permutation:
@@ -658,8 +661,7 @@ class Mapping:
 
 def opposite(g: Groupoid) -> Groupoid:
     """The opposite groupoid: ``a . b = b * a`` (table transpose)."""
-    n = g.order
-    return Groupoid(n, tuple(tuple(g.table[b][a] for b in range(n)) for a in range(n)))
+    return Groupoid(g.order, tuple(zip(*g.table)))
 
 
 def dual_graph_pair(gp: GraphPair) -> GraphPair:

@@ -28,8 +28,12 @@ class FormatError(ValueError):
         self.line = line
 
 
-def _lines(text: str) -> list[str]:
-    return text.splitlines()
+def strict_int(token: str) -> int:
+    """int(token) for ASCII digits after an optional minus; ValueError for
+    the rest of what int() takes, such as "+1", "0_0" and non-ASCII digits."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _parse_order(lines: list[str]) -> int:
@@ -37,7 +41,7 @@ def _parse_order(lines: list[str]) -> int:
         raise FormatError(1, "empty input; expected an order line")
     token = lines[0].strip()
     try:
-        order = int(token)
+        order = strict_int(token)
     except ValueError:
         raise FormatError(1, f"expected the order, got {token!r}") from None
     if order < 1:
@@ -55,10 +59,12 @@ def _reject_trailing(lines: list[str], end: int) -> None:
 def _parse_grid(text: str, allow_empty: bool, noun: str) -> tuple[int, tuple]:
     """The order and rows of a symbol grid; "." marks an empty cell where
     allow_empty holds."""
-    lines = _lines(text)
+    lines = text.splitlines()
     order = _parse_order(lines)
     if len(lines) < 1 + order:
         raise FormatError(len(lines) + 1, f"expected {order} {noun} lines")
+    # on ASCII text with no "+" or "_", int() takes what strict_int takes
+    to_int = int if text.isascii() and "+" not in text and "_" not in text else strict_int
     rows = []
     for i in range(order):
         line_no = i + 2
@@ -71,7 +77,7 @@ def _parse_grid(text: str, allow_empty: bool, noun: str) -> tuple[int, tuple]:
                 row.append(None)
                 continue
             try:
-                value = int(token)
+                value = to_int(token)
             except ValueError:
                 raise FormatError(line_no, f"bad entry {token!r} in column {col}") from None
             if not 0 <= value < order:
@@ -127,7 +133,7 @@ def _render_bit_rows(rows: tuple[int, ...], order: int) -> str:
 
 
 def parse_graph_pair(text: str) -> GraphPair:
-    lines = _lines(text)
+    lines = text.splitlines()
     order = _parse_order(lines)
     red = _parse_bit_rows(lines, 1, order, "red")
     sep = 1 + order
@@ -144,7 +150,7 @@ def render_graph_pair(gp: GraphPair) -> str:
 
 
 def parse_matrix(text: str) -> BoolMatrix:
-    lines = _lines(text)
+    lines = text.splitlines()
     order = _parse_order(lines)
     rows = _parse_bit_rows(lines, 1, order, "matrix")
     _reject_trailing(lines, 1 + order)

@@ -20,10 +20,15 @@ Most predicates are one of three computations:
   conversions.
 * The symbols of each row and column, ``core.line_symbol_sets``, give the
   symbols that share a line with each symbol (pair-disjointness of full and
-  partial arrays, maximality).
+  partial arrays, maximality) and, transposed, the rows and columns that
+  hold each symbol (rectangularity); fullness asks which symbols occur at
+  all.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import chain
 
 from .core import (
     BoolMatrix,
@@ -36,22 +41,9 @@ from .core import (
     identity_counterexample,
     line_symbol_sets,
     matrices_to_graph_pair,
+    transpose_bits,
     two_step_middles,
 )
-
-
-def _symbol_masks(g: Groupoid) -> tuple[list[int], list[int], list[int]]:
-    """Per-symbol row mask, column mask, and cell count."""
-    n = g.order
-    rows = [0] * n
-    cols = [0] * n
-    counts = [0] * n
-    for a, row in enumerate(g.table):
-        for b, x in enumerate(row):
-            rows[x] |= 1 << a
-            cols[x] |= 1 << b
-            counts[x] += 1
-    return rows, cols, counts
 
 
 def rectangularity_violation(g: Groupoid) -> tuple[int, int, int] | None:
@@ -61,9 +53,11 @@ def rectangularity_violation(g: Groupoid) -> tuple[int, int, int] | None:
     the rows and the columns it occurs in; it suffices to compare cell counts
     and then locate an offending cell.
     """
-    rows, cols, counts = _symbol_masks(g)
-    for x in range(g.order):
-        if counts[x] and counts[x] != rows[x].bit_count() * cols[x].bit_count():
+    n = g.order
+    rows, cols = (transpose_bits(sets, n) for sets in line_symbol_sets(g.table))
+    counts = Counter(chain.from_iterable(g.table))
+    for x in range(n):
+        if counts[x] != rows[x].bit_count() * cols[x].bit_count():
             for r in bits_of(rows[x]):
                 for c in bits_of(cols[x]):
                     if g.table[r][c] != x:
@@ -75,9 +69,9 @@ def is_rectangular(g: Groupoid) -> bool:
     return rectangularity_violation(g) is None
 
 
-def _mates(sets: list[int], n: int) -> list[int]:
+def _mates(sets: list[int]) -> list[int]:
     """For each symbol, the other symbols sharing one of the lines with it."""
-    mates = [0] * n
+    mates = [0] * len(sets)
     for m in set(sets):
         for x in bits_of(m):
             mates[x] |= m
@@ -88,7 +82,7 @@ def _pair_in_row_and_column(rows) -> tuple[int, int, int, int] | None:
     """First (x, y, row, col) with the pair {x, y} in both a row and a column."""
     n = len(rows)
     row_sets, col_sets = line_symbol_sets(rows)
-    rowmate, colmate = _mates(row_sets, n), _mates(col_sets, n)
+    rowmate, colmate = _mates(row_sets), _mates(col_sets)
     for x in range(n):
         both = rowmate[x] & colmate[x]
         if both:
@@ -128,13 +122,9 @@ def satisfies_p4(a: BoolMatrix, b: BoolMatrix) -> bool:
 
 
 def fullness_violation(g: Groupoid) -> tuple[int] | None:
-    """A symbol that never occurs in the table."""
-    present = 0
-    for row in g.table:
-        for x in row:
-            present |= 1 << x
-    missing = ~present & ((1 << g.order) - 1)
-    return (next(bits_of(missing)),) if missing else None
+    """The least symbol that never occurs in the table."""
+    missing = set(range(g.order)).difference(chain.from_iterable(g.table))
+    return (min(missing),) if missing else None
 
 
 def is_full(g: Groupoid) -> bool:
@@ -144,8 +134,7 @@ def is_full(g: Groupoid) -> bool:
 def maximality_violation(g: Groupoid) -> tuple[int, int] | None:
     """A pair of distinct symbols co-occurring in no row and no column."""
     n = g.order
-    row_sets, col_sets = line_symbol_sets(g.table)
-    rowmate, colmate = _mates(row_sets, n), _mates(col_sets, n)
+    rowmate, colmate = map(_mates, line_symbol_sets(g.table))
     full = (1 << n) - 1
     for x in range(n):
         missing = full & ~(rowmate[x] | colmate[x]) & ~(1 << x)

@@ -319,7 +319,7 @@ def blow_up_count_by_search(n: int, m: int) -> int:
     band = rectangular_band(n, m)
     size = n * m
     e = size  # the new element: fill its row and column around the band
-    table = [list(row) + [-1] for row in band.table] + [[-1] * (size + 1)]
+    table = [list(row) + [None] for row in band.table] + [[None] * (size + 1)]
     cells = [(e, y) for y in range(size + 1)] + [(x, e) for x in range(size)]
     # products stay inside the band
     return sum(1 for _ in _placements(table, cells, [range(size)] * len(cells)))

@@ -5,6 +5,8 @@ import pytest
 
 from rectangular import fixtures as fx
 from rectangular.core import (
+    CONSTRUCT_BOUND,
+    CapacityError,
     GraphPair,
     Mapping,
     Partition,
@@ -462,3 +464,15 @@ class TestConstructorsSatisfyDefiningPredicates:
                 assert satisfies_partitioned_eqs(graph_pair_to_groupoid(gp))
                 count += 1
         assert count > 10
+
+
+@pytest.mark.parametrize("build", [
+    lambda: constant_groupoid(CONSTRUCT_BOUND + 1, 0),
+    lambda: evans_central(46),  # order 2116
+    lambda: rectangular_band(1, CONSTRUCT_BOUND + 1),
+    lambda: cyclic_group(CONSTRUCT_BOUND + 1),
+    lambda: abelian_group(3, 683),  # order 2049
+], ids=["constant", "evans", "band", "cyclic", "abelian"])
+def test_constructions_above_their_bound_raise_capacity_error(build):
+    with pytest.raises(CapacityError, match="bounded at order 2048"):
+        build()

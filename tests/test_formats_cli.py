@@ -62,6 +62,17 @@ class TestTableFormat:
             parse_table("2\n0\n0 0\n")
         with pytest.raises(FormatError, match="expected the order"):
             parse_table("zebra\n")
+        with pytest.raises(FormatError, match="entry -1 out of range"):
+            parse_table("2\n0 -1\n1 0\n")
+
+    @pytest.mark.parametrize("text", ["2\n0 +1\n1 0\n", "2\n0 1\n1 0_0\n", "2\n0 ١\n1 0\n",
+                                      "+2\n0 1\n1 0\n", " ٢\n0 1\n1 0\n"],
+                             ids=["plus", "underscore", "arabic-indic", "order-plus",
+                                  "order-arabic-indic"])
+    def test_integers_are_ascii_digits_after_an_optional_minus(self, text):
+        for parse in (parse_table, parse_partial):
+            with pytest.raises(FormatError, match="bad entry|expected the order"):
+                parse(text)
 
     def test_one_based_rendering(self):
         assert render_table(make_groupoid(2, [0, 0, 1, 1]), one_based=True) \
@@ -380,6 +391,61 @@ class TestCliConstruct:
     def test_bad_factorization_exit_two(self, capsys):
         assert main(["construct", "factorization", "--cyclic", "4",
                      "--h", "0,1", "--k", "0,1"]) == 2
+
+
+def _capacity(order):
+    return f"capacity: constructions are bounded at order 2048, got {order}\n"
+
+
+# Each argv, with FILE standing for a table file of the given text, and the
+# exit code and stderr (a whole line, or a part of argparse's usage text)
+# that it must give with nothing on stdout.
+HOSTILE_INPUTS = {
+    "evans-10^10": (["construct", "evans", "100000"], None, 3, _capacity(10 ** 10)),
+    "band-9*10^6": (["construct", "band", "3000", "3000"], None, 3, _capacity(9 * 10 ** 6)),
+    "constant-10^8": (["construct", "constant", "100000000", "0"], None, 3, _capacity(10 ** 8)),
+    "cyclic-10^5": (["construct", "factorization", "--cyclic", "100000", "--h", "0",
+                     "--k", "0"], None, 3, _capacity(10 ** 5)),
+    "abelian-10^6": (["construct", "factorization", "--abelian", "1000,1000", "--h", "0",
+                      "--k", "0"], None, 3, _capacity(10 ** 6)),
+    "entry-plus": (["check", "--property", "full", "FILE"], "2\n0 +1\n1 0\n", 2,
+                   "error: line 2: bad entry '+1' in column 1\n"),
+    "entry-underscore": (["check", "--property", "full", "FILE"], "2\n0 1\n1 0_0\n", 2,
+                         "error: line 3: bad entry '0_0' in column 1\n"),
+    "entry-arabic-indic": (["check", "--property", "full", "FILE"], "2\n0 ١\n1 0\n", 2,
+                           "error: line 2: bad entry '١' in column 1\n"),
+    "order-plus": (["check", "--property", "full", "FILE"], "+1\n0\n", 2,
+                   "error: line 1: expected the order, got '+1'\n"),
+    "order-arabic-indic": (["check", "--property", "full", "FILE"], "١\n0\n", 2,
+                           "error: line 1: expected the order, got '١'\n"),
+    "list-arabic-indic": (["construct", "factorization", "--cyclic", "4", "--h", "0,٢",
+                           "--k", "0"], None, 2, "error: --h: '٢' is not an integer\n"),
+    "list-plus": (["construct", "factorization", "--abelian", "2,+2", "--h", "0", "--k", "0"],
+                  None, 2, "error: --abelian: '+2' is not an integer\n"),
+    "order-spec-blank": (["enumerate", "--class", "rectangular", "--order", " 4"], None, 2,
+                         "error: --order must be N or NxM, got ' 4'\n"),
+    "order-spec-plus": (["enumerate", "--class", "band-blowups", "--order", "2x+2"], None, 2,
+                        "error: --order must be N or NxM, got '2x+2'\n"),
+    "argument-plus": (["construct", "constant", "+1", "0"], None, 2,
+                      "argument n: invalid int value: '+1'"),
+    "argument-underscore": (["construct", "band", "2", "0_2"], None, 2,
+                            "argument m: invalid int value: '0_2'"),
+    "argument-arabic-indic": (["construct", "evans", "٢"], None, 2,
+                              "argument m: invalid int value: '٢'"),
+    "argument-option": (["construct", "factorization", "--cyclic", "+4", "--h", "0",
+                         "--k", "0"], None, 2, "argument --cyclic: invalid int value: '+4'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+def test_hostile_input_exits_with_its_code_and_no_output(capsys, table_file, case):
+    argv, text, code, err = HOSTILE_INPUTS[case]
+    if text is not None:
+        argv = [table_file("t.tbl", text) if arg == "FILE" else arg for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == err if err.endswith("\n") else err in captured.err
 
 
 class TestCliEnumerate:

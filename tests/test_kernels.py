@@ -80,6 +80,11 @@ def test_identity_evaluator_either_side_of_order_256(m):
             oracles.literal_identity_violation("associativity_violation", h)
         assert identity_counterexample(h, "x*y=y*x") == \
             oracles.identity_violation_by_eval(h, "x*y=y*x")
+    # centrality with z first: z*x is column x, and (z*x)*(x*y) reads
+    # column x*y at every entry of it
+    for h in changed[:2]:
+        assert identity_counterexample(h, "(z*x)*(x*y)=x") == \
+            oracles.identity_violation_by_eval(h, "(z*x)*(x*y)=x")
 
 
 def _middles_or_error(fn, *args):
