@@ -205,6 +205,46 @@ def isotopic_by_triples(g: Groupoid, h: Groupoid):
     return None
 
 
+def least_relabeling(g: Groupoid) -> tuple[int, ...]:
+    """The least flattened table h, over every sigma in Sym(n), with
+    h[sigma(a)][sigma(b)] = sigma(g[a][b]) in every cell."""
+    n = g.order
+    best = None
+    for sigma in permutations(range(n)):
+        h = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                h[sigma[a]][sigma[b]] = sigma[g.table[a][b]]
+        flat = tuple(e for row in h for e in row)
+        if best is None or flat < best:
+            best = flat
+    return best
+
+
+def first_isomorphism(g: Groupoid, h: Groupoid) -> tuple[int, ...] | None:
+    """The first sigma of permutations(range(n)) with
+    h[sigma(a)][sigma(b)] = sigma(g[a][b]) in every cell, or None."""
+    n = g.order
+    for sigma in permutations(range(n)):
+        if all(h.table[sigma[a]][sigma[b]] == sigma[g.table[a][b]]
+               for a in range(n) for b in range(n)):
+            return sigma
+    return None
+
+
+def render_bit_row(row: int, order: int) -> str:
+    """Bit j of row as character j, one bit at a time."""
+    return "".join("1" if row >> j & 1 else "0" for j in range(order))
+
+
+def parse_bit_row(raw: str, order: int) -> int | None:
+    """The row whose bit j is character j of raw, one character at a time;
+    None unless raw is exactly order characters of 0 and 1."""
+    if len(raw) != order or any(ch not in "01" for ch in raw):
+        return None
+    return sum(1 << j for j, ch in enumerate(raw) if ch == "1")
+
+
 def matmul(a: BoolMatrix, b: BoolMatrix) -> list[list[int]]:
     n = a.order
     ag, bg = a.to_grid(), b.to_grid()

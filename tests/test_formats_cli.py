@@ -121,6 +121,36 @@ class TestGraphAndMatrixFormats:
         with pytest.raises(FormatError, match="0/1"):
             parse_graph_pair("2\n12\n01\n\n10\n01\n")
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 256])
+    def test_bit_rows_match_the_per_bit_codec(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        red = (0, full, *(rng.randrange(1 << n) for _ in range(n - 2)))[:n]
+        green = tuple(rng.randrange(1 << n) for _ in range(n))
+        lines = lambda rows: "".join(oracles.render_bit_row(r, n) + "\n" for r in rows)
+        text = f"{n}\n{lines(red)}\n{lines(green)}"
+        assert render_graph_pair(GraphPair(n, red, green)) == text
+        assert render_matrix(BoolMatrix(n, green)) == f"{n}\n{lines(green)}"
+        parsed = tuple(oracles.parse_bit_row(line, n) for line in text.splitlines()[1:]
+                       if line)
+        gp = parse_graph_pair(text)
+        assert gp.red + gp.green == parsed == red + green
+        assert parse_matrix(f"{n}\n{lines(green)}").rows == green
+
+    @pytest.mark.parametrize("raw", [
+        "0a1", "a01", "01a", "0 1", "0b1", "1_0", "012", "-01", "0\u00a01",
+        "0\uff111", "01", "0101", "",
+    ])
+    def test_malformed_bit_rows_keep_their_error_text(self, raw):
+        assert oracles.parse_bit_row(raw, 3) is None
+        message = f"expected 3 characters of 0/1, got {raw!r}"
+        with pytest.raises(FormatError) as info:
+            parse_matrix(f"3\n000\n{raw}\n111\n")
+        assert str(info.value) == f"line 3: {message}"
+        with pytest.raises(FormatError) as info:
+            parse_graph_pair(f"3\n000\n000\n000\n\n111\n{raw}\n111\n")
+        assert str(info.value) == f"line 7: {message}"
+
 
 @st.composite
 def partial_arrays(draw, max_order=6):

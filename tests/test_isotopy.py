@@ -11,7 +11,7 @@ from rectangular.core import (
     make_groupoid,
 )
 from rectangular.construct import constant_groupoid, evans_central, rectangular_band
-from rectangular.census import iter_rectangular_tables
+from rectangular.census import enumerate_central, iter_rectangular_tables
 from rectangular.isotopy import (
     _isotopy_profile,
     apply_isotopy,
@@ -193,6 +193,31 @@ class TestAreIsomorphic:
             assert w is not None
             assert relabel(g, w) == h
 
+    def test_agrees_with_the_literal_walk(self):
+        rng = random.Random(35)
+        for i in range(300):
+            n = rng.randrange(1, 6)
+            g = oracles.random_groupoid(rng, n)
+            h = (relabel(g, Permutation(oracles.random_permutation(rng, n))) if i % 2
+                 else oracles.random_groupoid(rng, n))
+            self.check_witness(g, h)
+
+    def test_order_nine_pairs_agree_with_the_literal_walk(self):
+        g = evans_central(3)
+        sigma = Permutation(oracles.random_permutation(random.Random(36), 9))
+        assert self.check_witness(g, relabel(g, sigma)) is not None
+        a, b = enumerate_central(9).tables[:2]
+        assert _isotopy_profile(a) == _isotopy_profile(b)
+        assert self.check_witness(a, b) is None
+
+    @staticmethod
+    def check_witness(g, h):
+        w = are_isomorphic(g, h)
+        want = oracles.first_isomorphism(g, h)
+        assert (w is None) == (want is None)
+        assert w is None or relabel(g, w) == h
+        return w
+
 
 class TestCanonicalForm:
     def test_constant_relabels_to_zero(self):
@@ -212,6 +237,13 @@ class TestCanonicalForm:
             g = oracles.random_groupoid(rng, 4)
             cf = canonical_form(g)
             assert canonical_form(cf) == cf
+
+    def test_equals_the_least_relabeling(self):
+        rng = random.Random(37)
+        tables = [*oracles.all_tables(2),
+                  *(oracles.random_groupoid(rng, n) for n in range(1, 6) for _ in range(12))]
+        for g in tables:
+            assert canonical_form(g).flat() == oracles.least_relabeling(g)
 
     def test_respects_isomorphism_exactly(self):
         tables = list(iter_rectangular_tables(2))
