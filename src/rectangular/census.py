@@ -380,7 +380,7 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     if n > CENTRAL_BOUND:
         raise CapacityError(f"central census is bounded at order {CENTRAL_BOUND}")
     if n == 16 and not long_run:
-        raise CapacityError("order 16 takes far longer than desk scale; pass long_run")
+        raise CapacityError("order 16 is far beyond desk scale; pass long_run or --long-run")
 
     solutions = _central_solutions(m, _row_candidates(m)[0][0])
     if factorial(m) * factorial(n - m) <= ORBIT_BOUND:

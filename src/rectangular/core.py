@@ -279,6 +279,18 @@ def _check_square(order: int, rows, what: str, empty: bool = False) -> tuple[tup
     return grid
 
 
+def _check_bit_rows(order: int, rows, what: str) -> tuple[int, ...]:
+    """rows as a tuple of order bitset rows, each a subset of 0..order-1."""
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
+    rows = tuple(rows)
+    if len(rows) != order:
+        raise ValueError(f"{what} needs {order} rows")
+    if any(not 0 <= r < 1 << order for r in rows):
+        raise ValueError(f"{what} has bits outside 0..{order - 1}")
+    return rows
+
+
 @dataclass(frozen=True)
 class Groupoid:
     """A binary operation on ``0..n-1`` given by its Cayley table.
@@ -336,16 +348,9 @@ class GraphPair:
     green: tuple[int, ...]
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        limit = 1 << self.order
         for name in ("red", "green"):
-            rows = tuple(getattr(self, name))
-            if len(rows) != self.order:
-                raise ValueError(f"{name} relation needs {self.order} rows")
-            if any(not 0 <= r < limit for r in rows):
-                raise ValueError(f"{name} relation has endpoints outside 0..{self.order - 1}")
-            object.__setattr__(self, name, rows)
+            object.__setattr__(self, name, _check_bit_rows(
+                self.order, getattr(self, name), f"{name} relation"))
 
     @classmethod
     def from_edges(cls, order: int,
@@ -381,13 +386,7 @@ class BoolMatrix:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        rows = tuple(self.rows)
-        limit = 1 << self.order
-        if len(rows) != self.order or any(not 0 <= r < limit for r in rows):
-            raise ValueError(f"matrix must be {self.order}x{self.order} with 0/1 entries")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", _check_bit_rows(self.order, self.rows, "matrix"))
 
     @classmethod
     def from_grid(cls, grid: Iterable[Iterable[int]]) -> "BoolMatrix":

@@ -120,16 +120,16 @@ def _parse_bit_rows(lines: list[str], start: int, order: int, what: str) -> tupl
         if start + i >= len(lines):
             raise FormatError(line_no, f"missing {what} row {i}")
         raw = lines[start + i].strip()
-        if len(raw) != order or any(ch not in "01" for ch in raw):
+        # int(..., 2) alone would also take "0b1", "1_0", blanks and non-ASCII digits
+        if len(raw) != order or raw.strip("01"):
             raise FormatError(line_no, f"expected {order} characters of 0/1, got {raw!r}")
-        rows.append(sum(1 << j for j, ch in enumerate(raw) if ch == "1"))
+        rows.append(int(raw[::-1], 2))
     return tuple(rows)
 
 
 def _render_bit_rows(rows: tuple[int, ...], order: int) -> str:
-    return "\n".join(
-        "".join("1" if row >> j & 1 else "0" for j in range(order)) for row in rows
-    )
+    """Each row as its binary string reversed, so bit j is character j."""
+    return "\n".join(format(row, f"0{order}b")[::-1] for row in rows)
 
 
 def parse_graph_pair(text: str) -> GraphPair:

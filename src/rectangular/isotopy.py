@@ -1,5 +1,5 @@
-"""Isotopy application and search, isomorphism via canonical forms,
-transversal search, and the transversal <-> idempotent-isotope link.
+"""Isotopy application and search, isomorphism by a direct relabeling
+search, canonical forms, transversals, and the transversal <-> idempotent-isotope link.
 
 Orientation convention, the one of the isotope kernel ``core.flat_isotopes``:
 a witness (alpha, beta, gamma) maps g to h via
@@ -21,7 +21,6 @@ from .core import (
     IsotopyTriple,
     Permutation,
     Transversal,
-    compose,
     flat_isotopes,
     make_groupoid,
 )
@@ -101,12 +100,15 @@ def relabel(g: Groupoid, sigma: Permutation) -> Groupoid:
     return apply_isotopy(g, IsotopyTriple(inv, inv, inv))
 
 
-def _min_relabeling(g: Groupoid) -> tuple[tuple[int, ...], Permutation]:
-    """Lexicographically least flattened relabeled table, with the relabeling."""
+def canonical_form(g: Groupoid) -> Groupoid:
+    """The least table over all simultaneous relabelings; isomorphism-complete."""
     n = g.order
+    if n > CANONICAL_FORM_BOUND:
+        raise CapacityError(
+            f"canonical form is factorial; order {n} exceeds bound {CANONICAL_FORM_BOUND}"
+        )
     t = g.table
     best: list[int] | None = None
-    best_sigma: tuple[int, ...] | None = None
     cells = [(a, b) for a in range(n) for b in range(n)]
     for inv in permutations(range(n)):
         sigma = [0] * n
@@ -114,7 +116,6 @@ def _min_relabeling(g: Groupoid) -> tuple[tuple[int, ...], Permutation]:
             sigma[v] = i
         if best is None:
             best = [sigma[t[inv[a]][inv[b]]] for a, b in cells]
-            best_sigma = tuple(sigma)
             continue
         current: list[int] = []
         verdict = 0
@@ -129,37 +130,36 @@ def _min_relabeling(g: Groupoid) -> tuple[tuple[int, ...], Permutation]:
             current.append(v)
         if verdict == -1:
             best = current
-            best_sigma = tuple(sigma)
-    assert best is not None and best_sigma is not None
-    return tuple(best), Permutation(best_sigma)
-
-
-def canonical_form(g: Groupoid) -> Groupoid:
-    """The least table over all simultaneous relabelings; isomorphism-complete."""
-    if g.order > CANONICAL_FORM_BOUND:
-        raise CapacityError(
-            f"canonical form is factorial; order {g.order} exceeds bound "
-            f"{CANONICAL_FORM_BOUND}"
-        )
-    return make_groupoid(g.order, _min_relabeling(g)[0])
+    return make_groupoid(n, best)
 
 
 def are_isomorphic(g: Groupoid, h: Groupoid) -> Permutation | None:
-    """A permutation sigma with relabel(g, sigma) = h, or None."""
+    """The first sigma of permutations(range(n)), in lexicographic order,
+    with relabel(g, sigma) = h, or None.
+
+    An isomorphism is an isotopy, so tables whose isotopy profiles differ
+    answer None at once.  Otherwise one walk over Sym(n) tests
+    h(sigma(a), sigma(b)) = sigma(g(a, b)) cell by cell and leaves each
+    sigma at its first mismatch.
+    """
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
-    if g.order > CANONICAL_FORM_BOUND:
+    n = g.order
+    if n > CANONICAL_FORM_BOUND:
         raise CapacityError(
-            f"isomorphism test is factorial; order {g.order} exceeds bound "
-            f"{CANONICAL_FORM_BOUND}"
+            f"isomorphism test is factorial; order {n} exceeds bound {CANONICAL_FORM_BOUND}"
         )
-    flat_g, sigma_g = _min_relabeling(g)
-    flat_h, sigma_h = _min_relabeling(h)
-    if flat_g != flat_h:
+    if _isotopy_profile(g) != _isotopy_profile(h):
         return None
-    witness = compose(sigma_h.inverse(), sigma_g)
-    assert relabel(g, witness) == h
-    return witness
+    ht = h.table
+    cells = [(a, b, c) for a, row in enumerate(g.table) for b, c in enumerate(row)]
+    for s in permutations(range(n)):
+        for a, b, c in cells:
+            if ht[s[a]][s[b]] != s[c]:
+                break
+        else:
+            return Permutation(s)
+    return None
 
 
 def find_transversal(g: Groupoid) -> Transversal | None:

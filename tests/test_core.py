@@ -109,6 +109,23 @@ def test_bool_matrix_rejects_non_bits():
         BoolMatrix.from_grid([[0, 2], [0, 0]])
 
 
+@pytest.mark.parametrize("make, what", [
+    (lambda n, rows: GraphPair(n, rows, (0,) * max(n, 0)), "red relation"),
+    (lambda n, rows: GraphPair(n, (0,) * max(n, 0), rows), "green relation"),
+    (BoolMatrix, "matrix"),
+])
+def test_bit_rows_are_checked_naming_the_relation_or_matrix(make, what):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"^order must be positive, got {n}$"):
+            make(n, ())
+    with pytest.raises(ValueError, match=rf"^{what} needs 3 rows$"):
+        make(3, (0, 0))
+    for bad in (8, -1):
+        with pytest.raises(ValueError, match=rf"^{what} has bits outside 0\.\.2$"):
+            make(3, (0, bad, 7))
+    assert make(3, [0, 7, 5]) is not None
+
+
 def test_partial_array_validation():
     with pytest.raises(ValueError, match="out of range"):
         fx.B3.__class__(2, ((0, 3), (None, 1)))

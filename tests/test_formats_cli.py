@@ -568,6 +568,15 @@ class TestCliEnumerate:
                      "--up-to", "labeled"]) == 3
         assert main(["enumerate", "--class", "central", "--order", "16"]) == 3
 
+    def test_order_16_capacity_names_the_cli_flag(self, capsys):
+        assert main(["enumerate", "--class", "central", "--order", "16"]) == 3
+        assert capsys.readouterr() == (
+            "", "capacity: order 16 is far beyond desk scale; pass long_run or --long-run\n")
+        assert main(["enumerate", "--class", "central", "--order", "16", "--long_run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --long_run" in captured.err
+
     def test_jobs_do_not_change_output(self, capsys):
         # the CLI has no --jobs; its census JSON is the library's at any jobs
         argv = ["enumerate", "--class", "rectangular", "--order", "3",

@@ -214,7 +214,7 @@ class TestAreIsomorphic:
     def check_witness(g, h):
         w = are_isomorphic(g, h)
         want = oracles.first_isomorphism(g, h)
-        assert (w is None) == (want is None)
+        assert (None if w is None else w.images) == want
         assert w is None or relabel(g, w) == h
         return w
 
