@@ -2,19 +2,28 @@
 
 Everything here deliberately avoids the package's bitset machinery: literal
 quantifier loops, plain integer matrix products, and set bookkeeping, so a
-disagreement always points at exactly one side.  The one exception is
-``blow_up_count_by_search``, the census's former cell search over the band's
-new row and column, kept as the search that produced the pinned blow-up
-counts.
+disagreement always points at exactly one side.  The one exception is the
+census's former placement engine, ``_placements`` with its cell check
+``_can_place``: it fills any given cells of a partial table from per-cell
+options, keeping each symbol's row and column masks.  It produced the pinned
+blow-up counts, which ``blow_up_count_by_search`` recounts with it, and
+``rect_flats_by_placement`` is the reference for the census's row-major
+rectangular search.
 """
 
 import warnings
 from itertools import combinations, islice, permutations, product
 from math import comb
 
-from rectangular.census import _placements
 from rectangular.construct import rectangular_band
-from rectangular.core import BoolMatrix, GraphPair, Groupoid, PartialArray
+from rectangular.core import (
+    BoolMatrix,
+    GraphPair,
+    Groupoid,
+    PartialArray,
+    line_symbol_sets,
+    transpose_bits,
+)
 
 
 def quasi_rectangular(g: Groupoid) -> bool:
@@ -350,6 +359,73 @@ def blow_up_count_exact(n: int, m: int) -> int:
     return sum((-1) ** (k - 1) * k * comb(m, k) * falling(n, k)
                * n ** (m - k) * m ** (n - k)
                for k in range(1, min(n, m) + 1))
+
+
+def _can_place(n, table, row_masks, col_masks, r, c, y) -> bool:
+    """May symbol y go at (r, c) without breaking any symbol's rectangle?"""
+    rbit = 1 << r
+    cbit = 1 << c
+    for z in range(n):
+        if z != y and row_masks[z] & rbit and col_masks[z] & cbit:
+            return False  # cell is demanded by z's rectangle
+    rm = row_masks[y]
+    while rm:
+        low = rm & -rm
+        rm ^= low
+        z = table[low.bit_length() - 1][c]
+        if z is not None and z != y:
+            return False
+    cm = col_masks[y]
+    trow = table[r]
+    while cm:
+        low = cm & -cm
+        cm ^= low
+        z = trow[low.bit_length() - 1]
+        if z is not None and z != y:
+            return False
+    return True
+
+
+def _placements(table: list[list[int | None]], cells: list[tuple[int, int]], options: list):
+    """Fill cells[k] of the partial table from options[k], in order, keeping
+    every symbol's rectangle consistent; None marks an empty cell.
+
+    Each symbol's row and column masks start as the transposes of the
+    table's ``core.line_symbol_sets``.  Yields the table itself, filled in place,
+    once per complete filling.  ``rect_flats_by_placement`` starts from an
+    empty table; ``blow_up_count_by_search`` starts from the band with its
+    new row and column empty.
+    """
+    n = len(table)
+    row_masks, col_masks = (list(transpose_bits(sets, n)) for sets in line_symbol_sets(table))
+
+    def dfs(idx):
+        if idx == len(cells):
+            yield table
+            return
+        r, c = cells[idx]
+        for y in options[idx]:
+            if not _can_place(n, table, row_masks, col_masks, r, c, y):
+                continue
+            old_rm, old_cm = row_masks[y], col_masks[y]
+            table[r][c] = y
+            row_masks[y] |= 1 << r
+            col_masks[y] |= 1 << c
+            yield from dfs(idx + 1)
+            table[r][c] = None
+            row_masks[y], col_masks[y] = old_rm, old_cm
+
+    yield from dfs(0)
+
+
+def rect_flats_by_placement(n: int, firsts):
+    """Yield every rectangular order-n table whose entry 0*0 is in firsts,
+    as a flat tuple, in lex order: ``_placements`` on an empty table, its
+    cells in row-major order."""
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    options = [firsts] + [range(n)] * (n * n - 1)
+    for table in _placements([[None] * n for _ in range(n)], cells, options):
+        yield tuple([y for row in table for y in row])
 
 
 def blow_up_count_by_search(n: int, m: int) -> int:

@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, factorial, isqrt
 
 import pytest
@@ -173,6 +173,24 @@ class TestRectangular:
                 swap = {0: v, v: 0}
                 assert sorted(tuple(swap.get(y, y) for y in f) for f in first) \
                     == list(census._rect_flats(n, (v,)))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_search_equals_the_placement_engine(self, n):
+        # the census search against the former engine, which checks each
+        # cell against every symbol's row and column masks
+        for firsts in [(v,) for v in range(n)] + [range(n)]:
+            assert list(census._rect_flats(n, firsts)) == \
+                list(oracles.rect_flats_by_placement(n, firsts))
+
+    def test_order_five_search_starts_as_the_placement_engine(self):
+        count = 20_000
+        assert list(islice(census._rect_flats(5, range(5)), count)) == \
+            list(islice(oracles.rect_flats_by_placement(5, range(5)), count))
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_search_equals_the_brute_force_filter(self, n):
+        assert list(census._rect_flats(n, range(n))) == [
+            g.flat() for g in oracles.all_tables(n) if oracles.quasi_rectangular(g)]
 
 
 @settings(max_examples=10, deadline=None, database=None)
