@@ -1,9 +1,11 @@
 """Exhaustive censuses: rectangular tables, central groupoids (BB = J
 matrices), and one-element blow-ups of rectangular bands.
 
-Every rectangular table search runs through one placement engine,
-``_placements``: it fills given cells of a partial table and keeps each
-symbol's cells a rectangle at every step.  The band blow-ups run no search:
+Every rectangular table search is one row-major fill of an empty table,
+``_rect_flats``: it keeps the set of symbols placed so far in each row and
+each column, the orientation of ``core.line_symbol_sets``, and from those
+alone takes the symbols that keep every rectangle whole at the next cell.
+The band blow-ups run no search:
 they are counted in closed form, a sum over the periodic points of the
 corner maps, up to band order 10 000.  The central
 search works on the matrix model: row i's out-neighbours must index rows
@@ -48,10 +50,8 @@ from .core import (
     Groupoid,
     bits_of,
     flat_isotopes,
-    line_symbol_sets,
     make_groupoid,
     mask_of,
-    transpose_bits,
     two_step_middles,
 )
 
@@ -73,70 +73,43 @@ class CensusResult:
     note: str | None = None
 
 
-def _can_place(n, table, row_masks, col_masks, r, c, y) -> bool:
-    """May symbol y go at (r, c) without breaking any symbol's rectangle?"""
-    rbit = 1 << r
-    cbit = 1 << c
-    for z in range(n):
-        if z != y and row_masks[z] & rbit and col_masks[z] & cbit:
-            return False  # cell is demanded by z's rectangle
-    rm = row_masks[y]
-    while rm:
-        low = rm & -rm
-        rm ^= low
-        z = table[low.bit_length() - 1][c]
-        if z is not None and z != y:
-            return False
-    cm = col_masks[y]
-    trow = table[r]
-    while cm:
-        low = cm & -cm
-        cm ^= low
-        z = trow[low.bit_length() - 1]
-        if z is not None and z != y:
-            return False
-    return True
-
-
-def _placements(table: list[list[int | None]], cells: list[tuple[int, int]], options: list):
-    """Fill cells[k] of the partial table from options[k], in order, keeping
-    every symbol's rectangle consistent; None marks an empty cell.
-
-    Each symbol's row and column masks start as the transposes of the
-    table's ``core.line_symbol_sets``.  Yields the table itself, filled in place,
-    once per complete filling.  The censuses start from an empty table; the
-    test oracle that counts band blow-ups by search starts from the band
-    with its new row and column empty.
-    """
-    n = len(table)
-    row_masks, col_masks = (list(transpose_bits(sets, n)) for sets in line_symbol_sets(table))
-
-    def dfs(idx):
-        if idx == len(cells):
-            yield table
-            return
-        r, c = cells[idx]
-        for y in options[idx]:
-            if not _can_place(n, table, row_masks, col_masks, r, c, y):
-                continue
-            old_rm, old_cm = row_masks[y], col_masks[y]
-            table[r][c] = y
-            row_masks[y] |= 1 << r
-            col_masks[y] |= 1 << c
-            yield from dfs(idx + 1)
-            table[r][c] = None
-            row_masks[y], col_masks[y] = old_rm, old_cm
-
-    yield from dfs(0)
-
-
 def _rect_flats(n: int, firsts):
     """Yield every rectangular order-n table whose entry 0*0 is in firsts,
-    as a flat tuple, in lex order."""
-    cells = [(r, c) for r in range(n) for c in range(n)]
-    options = [firsts] + [range(n)] * (n * n - 1)
-    for table in _placements([[None] * n for _ in range(n)], cells, options):
-        yield tuple([y for row in table for y in row])
+    as a flat tuple, in lex order.
+
+    The cells are filled in row-major order.  rows[r] and cols[c] are the
+    bitsets of the symbols placed so far in row r and column c; above is
+    the OR of the rows before r and left the OR of the columns before c.
+    Every earlier cell is filled and every later one is empty, so y fits at
+    (r, c) exactly when no other symbol is already in both row r and column
+    c (its rectangle claims the cell), every earlier row holding y holds it
+    in column c, and every earlier column holding y holds it in row r.  Two
+    symbols in rows[r] & cols[c] leave no candidate, and one leaves only
+    itself.  The candidates are taken low to high.
+    """
+    full, size = (1 << n) - 1, n * n
+    rows, cols = [0] * n, [0] * n
+    flat = [0] * size
+
+    def fill(k, above, left):
+        r, c = divmod(k, n)
+        row, col = rows[r], cols[c]
+        both = row & col
+        if both & (both - 1):
+            return
+        fits = (both or full) & ~(above & ~col) & ~(left & ~row)
+        for y in bits_of(fits if k else fits & mask_of(firsts)):
+            rows[r], cols[c] = row | 1 << y, col | 1 << y
+            flat[k] = y
+            if k + 1 == size:
+                yield tuple(flat)
+            elif c + 1 == n:
+                yield from fill(k + 1, above | rows[r], 0)
+            else:
+                yield from fill(k + 1, above, left | cols[c])
+        rows[r], cols[c] = row, col
+
+    yield from fill(0, 0, 0)
 
 
 def iter_rectangular_tables(n: int):
@@ -145,8 +118,7 @@ def iter_rectangular_tables(n: int):
         raise ValueError(f"order must be positive, got {n}")
     if n > ITER_BOUND:
         raise CapacityError(f"streaming bound is order {ITER_BOUND}")
-    for flat in _rect_flats(n, range(n)):
-        yield make_groupoid(n, flat)
+    return (make_groupoid(n, flat) for flat in _rect_flats(n, range(n)))
 
 
 def _orbit_firsts(items: list, images) -> list:

@@ -166,6 +166,8 @@ def _parse_order_spec(text: str) -> tuple[int, int | None]:
 def _cmd_enumerate(args) -> int:
     order, second = _parse_order_spec(args.order)
     kind = args.klass
+    if args.long_run and kind != "central":
+        raise ValueError("--long-run applies to the central census only")
     if kind == "band-blowups":
         if second is None:
             raise ValueError("band-blowups needs --order NxM (band side sizes)")
@@ -307,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--up-to", dest="up_to", choices=("labeled", "iso", "isotopy"),
                         help="iso by default; band-blowups takes labeled only")
     p_enum.add_argument("--long-run", dest="long_run", action="store_true",
-                        help="allow the order-16 central census")
+                        help="allow the order-16 central census (--class central only)")
     p_enum.add_argument("--emit", default="count",
                         choices=("count", "tables", "json"))
     p_enum.set_defaults(func=_cmd_enumerate)

@@ -263,9 +263,18 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     return None
 
 
+def _check_ints(values, what: str) -> None:
+    """Reject every value that is not an int: a float equal to one passes a
+    range check and fails later as an index, a shift or a mask bit."""
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"{what}: {v!r} is not an integer")
+
+
 def _check_square(order: int, rows, what: str, empty: bool = False) -> tuple[tuple, ...]:
     """rows as a tuple grid, checked to be order x order with every entry an
     int in 0..order-1, or None (an empty cell) where empty is true."""
+    _check_ints([order], f"{what} order")
     if order < 1:
         raise ValueError(f"{what} order must be positive, got {order}")
     grid = tuple(tuple(r) for r in rows)
@@ -281,9 +290,11 @@ def _check_square(order: int, rows, what: str, empty: bool = False) -> tuple[tup
 
 def _check_bit_rows(order: int, rows, what: str) -> tuple[int, ...]:
     """rows as a tuple of order bitset rows, each a subset of 0..order-1."""
+    _check_ints([order], "order")
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     rows = tuple(rows)
+    _check_ints(rows, what)
     if len(rows) != order:
         raise ValueError(f"{what} needs {order} rows")
     if any(not 0 <= r < 1 << order for r in rows):
@@ -325,6 +336,7 @@ def pair_groupoid(n: int, m: int, op) -> Groupoid:
 def make_groupoid(order: int, entries: Iterable[int]) -> Groupoid:
     """Build a Groupoid from a row-major flat entry sequence."""
     flat = tuple(entries)
+    _check_ints([order], "order")
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     if len(flat) != order * order:
@@ -450,6 +462,7 @@ class Permutation:
 
     def __post_init__(self):
         images = tuple(self.images)
+        _check_ints(images, "permutation")
         if sorted(images) != list(range(len(images))) or not images:
             raise ValueError(f"images {images} are not a bijection of 0..{len(images) - 1}")
         object.__setattr__(self, "images", images)
@@ -509,6 +522,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_ints([self.order, *(x for b in self.blocks for x in b)], "partition")
         if self.order < 1:
             raise ValueError(f"order must be positive, got {self.order}")
         blocks = tuple(sorted(tuple(sorted(set(b))) for b in self.blocks))
@@ -625,6 +639,7 @@ class Transversal:
 
     def __post_init__(self):
         cells = tuple(tuple(c) for c in self.cells)
+        _check_ints([self.order, *(v for cell in cells for v in cell)], "transversal")
         rows = sorted(r for r, _ in cells)
         cols = sorted(c for _, c in cells)
         if len(cells) != self.order or rows != list(range(self.order)) \
@@ -642,6 +657,7 @@ class Mapping:
 
     def __post_init__(self):
         images = tuple(self.images)
+        _check_ints([self.codomain, *images], "mapping")
         if self.codomain < 1:
             raise ValueError("codomain must be positive")
         if any(not 0 <= v < self.codomain for v in images):

@@ -164,6 +164,11 @@ class TestRectangular:
         assert shards == [g.flat() for g in iter_rectangular_tables(4)]
         with pytest.raises(CapacityError):
             next(iter_rectangular_tables(6))
+        # the arguments are checked at the call, not at the first next()
+        with pytest.raises(CapacityError, match="streaming bound is order 5"):
+            iter_rectangular_tables(6)
+        with pytest.raises(ValueError, match="order must be positive, got 0"):
+            iter_rectangular_tables(0)
 
     def test_symbol_swap_maps_the_first_shard_onto_each_other(self):
         # the census searches 0*0 = 0 only and renames symbols 0 <-> v

@@ -145,6 +145,22 @@ def test_non_integer_entries_are_value_errors():
         Groupoid(2, ((0, 0), (None, 0)))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Permutation((0.0, 1)), "permutation: 0.0"),
+    (lambda: Mapping((0.5,), 2), "mapping: 0.5"),
+    (lambda: GraphPair(1, (1.0,), (1,)), "red relation: 1.0"),
+    (lambda: BoolMatrix(1, (1.0,)), "matrix: 1.0"),
+    (lambda: Transversal(2, ((0.0, 0), (1, 1))), "transversal: 0.0"),
+    (lambda: Groupoid(2.0, ((0, 1), (1, 0))), "groupoid table order: 2.0"),
+    (lambda: Partition(2, ((0.0,), (1,))), "partition: 0.0"),
+    (lambda: GraphPair(2.0, (1, 2), (1, 2)), "order: 2.0"),
+])
+def test_non_integer_values_are_value_errors(make, message):
+    # a float equal to an int would pass the range checks
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)} is not an integer$"):
+        make()
+
+
 def test_permutation_validation_and_inverse():
     p = Permutation((2, 0, 1))
     assert p.inverse().images == (1, 2, 0)

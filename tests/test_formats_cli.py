@@ -577,6 +577,13 @@ class TestCliEnumerate:
         assert captured.out == ""
         assert "unrecognized arguments: --long_run" in captured.err
 
+    @pytest.mark.parametrize("spec", [("rectangular", "2"), ("band-blowups", "3x4")])
+    def test_long_run_outside_central_exit_two(self, capsys, spec):
+        klass, order = spec
+        assert main(["enumerate", "--class", klass, "--order", order, "--long-run"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --long-run applies to the central census only\n")
+
     def test_jobs_do_not_change_output(self, capsys):
         # the CLI has no --jobs; its census JSON is the library's at any jobs
         argv = ["enumerate", "--class", "rectangular", "--order", "3",
