@@ -2,10 +2,9 @@
 matrices), and one-element blow-ups of rectangular bands.
 
 Every rectangular table search is one row-major fill of an empty table,
-``_rect_flats``: it keeps the set of symbols placed so far in each row and
-each column, the orientation of ``core.line_symbol_sets``, and from those
-alone takes the symbols that keep every rectangle whole at the next cell.
-The band blow-ups run no search:
+``_rect_flats``: it keeps the symbols placed so far in each row and each
+column, the orientation of ``core.line_symbol_sets``, and from those alone
+takes the ones that fit the next cell.  The band blow-ups run no search:
 they are counted in closed form, a sum over the periodic points of the
 corner maps, up to band order 10 000.  The central
 search works on the matrix model: row i's out-neighbours must index rows

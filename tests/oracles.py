@@ -430,7 +430,7 @@ def rect_flats_by_placement(n: int, firsts):
 
 def blow_up_count_by_search(n: int, m: int) -> int:
     """Count the blow-ups of the n x m band by cell search: the band's table
-    with an empty new row and column, filled by the census placement engine
+    with an empty new row and column, filled by the former census placement engine
     with products inside the band, each symbol's cells kept a rectangle."""
     band = rectangular_band(n, m)
     size = n * m

@@ -577,9 +577,8 @@ class TestCliEnumerate:
         assert captured.out == ""
         assert "unrecognized arguments: --long_run" in captured.err
 
-    @pytest.mark.parametrize("spec", [("rectangular", "2"), ("band-blowups", "3x4")])
-    def test_long_run_outside_central_exit_two(self, capsys, spec):
-        klass, order = spec
+    @pytest.mark.parametrize("klass, order", [("rectangular", "2"), ("band-blowups", "3x4")])
+    def test_long_run_outside_central_exit_two(self, capsys, klass, order):
         assert main(["enumerate", "--class", klass, "--order", order, "--long-run"]) == 2
         assert capsys.readouterr() == (
             "", "error: --long-run applies to the central census only\n")
