@@ -48,6 +48,7 @@ from .core import (
     CapacityError,
     Groupoid,
     bits_of,
+    check_order,
     flat_isotopes,
     make_groupoid,
     mask_of,
@@ -113,10 +114,7 @@ def _rect_flats(n: int, firsts):
 
 def iter_rectangular_tables(n: int):
     """Stream every rectangular groupoid of order n in lex table order."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    if n > ITER_BOUND:
-        raise CapacityError(f"streaming bound is order {ITER_BOUND}")
+    check_order(n, bound=ITER_BOUND, limit="streaming is")
     return (make_groupoid(n, flat) for flat in _rect_flats(n, range(n)))
 
 
@@ -146,7 +144,8 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     """Census of rectangular groupoids of order n.
 
     mode "labeled": all tables (listed up to order 3, counted at order 4).
-    mode "isomorphism": canonical class representatives, order <= 4.
+    mode "isomorphism": the least labeled table of each isomorphism class,
+    order <= 4.
     mode "isotopy": the least table of each isotopy class, order <= 3.
 
     Every mode searches only the tables with 0*0 = 0 and gets the rest by
@@ -154,17 +153,14 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     isotope kernel over the sorted tables, as the module docstring says.
     jobs is checked but has no effect.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if mode not in ("labeled", "isomorphism", "isotopy"):
-        raise ValueError(f"unknown mode {mode!r}")
     bound = {"labeled": RECT_COUNT_BOUND,
              "isomorphism": RECT_COUNT_BOUND,
-             "isotopy": RECT_ISOTOPY_BOUND}[mode]
-    if n > bound:
-        raise CapacityError(f"mode {mode} is bounded at order {bound}")
+             "isotopy": RECT_ISOTOPY_BOUND}.get(mode)
+    if bound is None:
+        raise ValueError(f"unknown mode {mode!r}")
+    check_order(n, bound=bound, limit=f"mode {mode} is")
 
     flats = list(_rect_flats(n, (0,)))
     base = len(flats)
@@ -340,16 +336,14 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     Sym(m..n-1) moves any such row to the least one, so the search runs
     that row alone.  jobs is checked but has no effect.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
+    check_order(n)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     m = isqrt(n)
     if m * m != n:
         return CensusResult(n, "isomorphism", 0, (),
                             note="no central groupoids: order is not a perfect square")
-    if n > CENTRAL_BOUND:
-        raise CapacityError(f"central census is bounded at order {CENTRAL_BOUND}")
+    check_order(n, bound=CENTRAL_BOUND, limit="central census is")
     if n == 16 and not long_run:
         raise CapacityError("order 16 is far beyond desk scale; pass long_run or --long-run")
 
@@ -383,10 +377,9 @@ def enumerate_band_blow_ups(n: int, m: int) -> int:
     paper's n^(m-1) m^(n-1) (n+m-1), the only one when min(n, m) <= 2; at
     3 x 3 the terms are 405 + 0 + 18 = 423.
     """
-    if n < 1 or m < 1:
-        raise ValueError("both factors must be positive")
-    if n * m > BLOW_UP_BOUND:
-        raise CapacityError(f"band blow-up census is bounded at band order {BLOW_UP_BOUND}")
+    for side in (n, m):
+        check_order(side, "side")
+    check_order(n * m, bound=BLOW_UP_BOUND, limit="band blow-up census is")
     total, derangements, before = 0, 1, 0  # D(k-1) and D(k-2)
     for k in range(1, min(n, m) + 1):
         # an exponent is -1 where k = m or k = n: raise both by one and

@@ -1,7 +1,8 @@
 """Command-line workbench over all modules.
 
 Exit codes: 0 success / property true; 1 property false or no witness found;
-2 usage or malformed input; 3 capacity exceeded.
+2 usage or malformed input; 3 capacity exceeded, a file whose order line is
+above 2048 included.
 """
 
 from __future__ import annotations

@@ -13,14 +13,16 @@ from itertools import product
 from math import prod
 
 from .core import (
+    CONSTRUCT_BOUND,
     FiniteGroup,
     GraphPair,
     Groupoid,
     Mapping,
     Partition,
     PartitionSystem,
+    _check_ints,
     bits_of,
-    check_construct_order,
+    check_order,
     mask_of,
     opposite,
     pair_groupoid,
@@ -35,9 +37,7 @@ def _require_rectangular(g: Groupoid, what: str) -> None:
 
 def constant_groupoid(n: int, a: int) -> Groupoid:
     """Every product equals a."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    check_construct_order(n)
+    check_order(n, bound=CONSTRUCT_BOUND)
     if not 0 <= a < n:
         raise ValueError(f"symbol {a} out of range 0..{n - 1}")
     return Groupoid(n, tuple(tuple(a for _ in range(n)) for _ in range(n)))
@@ -48,15 +48,11 @@ def evans_central(m: int) -> Groupoid:
 
     Satisfies the central equation (x*y)*(y*z) = y.
     """
-    if m < 1:
-        raise ValueError(f"side must be positive, got {m}")
     return pair_groupoid(m, m, lambda a, b, c, d: (b, c))
 
 
 def rectangular_band(n: int, m: int) -> Groupoid:
     """The idempotent associative groupoid on pairs with (a,b)*(c,d) = (a,d)."""
-    if n < 1 or m < 1:
-        raise ValueError("both factors must be positive")
     return pair_groupoid(n, m, lambda a, b, c, d: (a, d))
 
 
@@ -68,6 +64,7 @@ def simple_blow_up(g: Groupoid, a: int) -> Groupoid:
     never occurs as a product.
     """
     n = g.order
+    _check_ints([a], "anchor")
     if not 0 <= a < n:
         raise ValueError(f"symbol {a} out of range 0..{n - 1}")
     _require_rectangular(g, "simple_blow_up")
@@ -84,6 +81,7 @@ def left_extension(g: Groupoid, a: int) -> Groupoid:
     and breaks rectangularity.
     """
     n = g.order
+    _check_ints([a], "anchor")
     if not 0 <= a < n:
         raise ValueError(f"symbol {a} out of range 0..{n - 1}")
     if g.table[a][a] != a:
@@ -190,16 +188,16 @@ def extract_partition_system(gp: GraphPair) -> PartitionSystem:
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Addition modulo n: the abelian group of one factor."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
     return abelian_group(n)
 
 
 def abelian_group(*moduli: int) -> FiniteGroup:
     """Direct product of cyclic groups, flattened row-major."""
-    if not moduli or any(m < 1 for m in moduli):
+    if not moduli:
         raise ValueError("moduli must be a nonempty list of positive integers")
-    check_construct_order(prod(moduli))
+    for m in moduli:
+        check_order(m, "modulus")
+    check_order(prod(moduli), bound=CONSTRUCT_BOUND)
     # product() lists the elements with the left factor major
     elements = list(product(*(range(m) for m in moduli)))
     index = {x: i for i, x in enumerate(elements)}
@@ -221,6 +219,7 @@ def group_factorization_pair(gamma: FiniteGroup, h: set[int] | frozenset[int],
     for name, members in (("h", hs), ("k", ks)):
         if not members:
             raise ValueError(f"{name} must be nonempty")
+        _check_ints(members, name)
         if members[0] < 0 or members[-1] >= n:
             raise ValueError(f"{name} has elements outside 0..{n - 1}")
     if len(hs) * len(ks) != n:

@@ -32,13 +32,19 @@ class CapacityError(RuntimeError):
     """A requested computation exceeds its configured size bound."""
 
 
-CONSTRUCT_BOUND = 2048  # the largest order a constructor builds
+CONSTRUCT_BOUND = 2048  # the largest order a constructor builds or a file holds
 
 
-def check_construct_order(order: int) -> None:
-    if order > CONSTRUCT_BOUND:
-        raise CapacityError(
-            f"constructions are bounded at order {CONSTRUCT_BOUND}, got {order}")
+def check_order(value, name: str = "order", bound: int | None = None,
+                limit: str = "constructions are") -> None:
+    """The one order check: value must be a positive int, and not above
+    bound where one is given.  A capacity message reads ``<limit> bounded
+    at order <bound>, got <value>``."""
+    _check_ints([value], name)
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if bound is not None and value > bound:
+        raise CapacityError(f"{limit} bounded at order {bound}, got {value}")
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -274,9 +280,7 @@ def _check_ints(values, what: str) -> None:
 def _check_square(order: int, rows, what: str, empty: bool = False) -> tuple[tuple, ...]:
     """rows as a tuple grid, checked to be order x order with every entry an
     int in 0..order-1, or None (an empty cell) where empty is true."""
-    _check_ints([order], f"{what} order")
-    if order < 1:
-        raise ValueError(f"{what} order must be positive, got {order}")
+    check_order(order, f"{what} order")
     grid = tuple(tuple(r) for r in rows)
     if len(grid) != order or any(len(r) != order for r in grid):
         raise ValueError(f"{what} must be exactly {order}x{order}")
@@ -290,9 +294,7 @@ def _check_square(order: int, rows, what: str, empty: bool = False) -> tuple[tup
 
 def _check_bit_rows(order: int, rows, what: str) -> tuple[int, ...]:
     """rows as a tuple of order bitset rows, each a subset of 0..order-1."""
-    _check_ints([order], "order")
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
+    check_order(order)
     rows = tuple(rows)
     _check_ints(rows, what)
     if len(rows) != order:
@@ -327,7 +329,9 @@ def pair_groupoid(n: int, m: int, op) -> Groupoid:
     """The groupoid on the pairs (a, b) with a < n and b < m, where
     op(a, b, c, d) is the pair (a,b)*(c,d).  Pair (a, b) is symbol a*m + b:
     row-major, the left factor major."""
-    check_construct_order(n * m)
+    for side in (n, m):
+        check_order(side, "side")
+    check_order(n * m, bound=CONSTRUCT_BOUND)
     pairs = list(product(range(n), range(m)))
     rows = ([op(a, b, c, d) for c, d in pairs] for a, b in pairs)
     return Groupoid(n * m, tuple(tuple([x * m + y for x, y in row]) for row in rows))
@@ -336,9 +340,7 @@ def pair_groupoid(n: int, m: int, op) -> Groupoid:
 def make_groupoid(order: int, entries: Iterable[int]) -> Groupoid:
     """Build a Groupoid from a row-major flat entry sequence."""
     flat = tuple(entries)
-    _check_ints([order], "order")
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
+    check_order(order)
     if len(flat) != order * order:
         raise ValueError(
             f"expected {order * order} entries for order {order}, got {len(flat)}"
@@ -368,10 +370,12 @@ class GraphPair:
     def from_edges(cls, order: int,
                    red: Iterable[tuple[int, int]],
                    green: Iterable[tuple[int, int]]) -> "GraphPair":
+        check_order(order)
         red_rows = [0] * order
         green_rows = [0] * order
         for rows, edges in ((red_rows, red), (green_rows, green)):
             for a, b in edges:
+                _check_ints((a, b), "edge")
                 if not (0 <= a < order and 0 <= b < order):
                     raise ValueError(f"edge ({a},{b}) outside 0..{order - 1}")
                 rows[a] |= 1 << b
@@ -418,6 +422,7 @@ class BoolMatrix:
 
     @classmethod
     def ones(cls, order: int) -> "BoolMatrix":
+        check_order(order)
         return cls(order, tuple([(1 << order) - 1] * order))
 
     def bit(self, i: int, j: int) -> int:
@@ -473,6 +478,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, order: int) -> "Permutation":
+        check_order(order)
         return cls(tuple(range(order)))
 
     def apply(self, x: int) -> int:
@@ -522,9 +528,8 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_ints([self.order, *(x for b in self.blocks for x in b)], "partition")
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
+        check_order(self.order)
+        _check_ints([x for b in self.blocks for x in b], "partition")
         blocks = tuple(sorted(tuple(sorted(set(b))) for b in self.blocks))
         seen = 0
         for block in blocks:
@@ -542,10 +547,12 @@ class Partition:
 
     @classmethod
     def singletons(cls, order: int) -> "Partition":
+        check_order(order)
         return cls(order, tuple((i,) for i in range(order)))
 
     @classmethod
     def single_block(cls, order: int) -> "Partition":
+        check_order(order)
         return cls(order, (tuple(range(order)),))
 
     @cached_property
@@ -639,7 +646,8 @@ class Transversal:
 
     def __post_init__(self):
         cells = tuple(tuple(c) for c in self.cells)
-        _check_ints([self.order, *(v for cell in cells for v in cell)], "transversal")
+        check_order(self.order)
+        _check_ints([v for cell in cells for v in cell], "transversal")
         rows = sorted(r for r, _ in cells)
         cols = sorted(c for _, c in cells)
         if len(cells) != self.order or rows != list(range(self.order)) \
@@ -657,9 +665,8 @@ class Mapping:
 
     def __post_init__(self):
         images = tuple(self.images)
-        _check_ints([self.codomain, *images], "mapping")
-        if self.codomain < 1:
-            raise ValueError("codomain must be positive")
+        check_order(self.codomain, "codomain")
+        _check_ints(images, "mapping")
         if any(not 0 <= v < self.codomain for v in images):
             raise ValueError(f"images {images} leave codomain 0..{self.codomain - 1}")
         object.__setattr__(self, "images", images)

@@ -11,10 +11,12 @@ from __future__ import annotations
 import json
 
 from .core import (
+    CONSTRUCT_BOUND,
     BoolMatrix,
     GraphPair,
     Groupoid,
     PartialArray,
+    check_order,
     graph_pair_to_matrices,
     matrices_to_graph_pair,
 )
@@ -46,6 +48,7 @@ def _parse_order(lines: list[str]) -> int:
         raise FormatError(1, f"expected the order, got {token!r}") from None
     if order < 1:
         raise FormatError(1, f"order must be positive, got {order}")
+    check_order(order, bound=CONSTRUCT_BOUND, limit="files are")
     return order
 
 

@@ -16,11 +16,11 @@ from collections import Counter
 from itertools import permutations
 
 from .core import (
-    CapacityError,
     Groupoid,
     IsotopyTriple,
     Permutation,
     Transversal,
+    check_order,
     flat_isotopes,
     make_groupoid,
 )
@@ -56,10 +56,7 @@ def are_isotopic(g: Groupoid, h: Groupoid) -> IsotopyTriple | None:
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
     n = g.order
-    if n > ISOTOPY_SEARCH_BOUND:
-        raise CapacityError(
-            f"isotopy search is factorial; order {n} exceeds bound {ISOTOPY_SEARCH_BOUND}"
-        )
+    check_order(n, bound=ISOTOPY_SEARCH_BOUND, limit="isotopy search is")
     if _isotopy_profile(g) != _isotopy_profile(h):
         return None
     gt, ht = g.table, h.table
@@ -103,10 +100,7 @@ def relabel(g: Groupoid, sigma: Permutation) -> Groupoid:
 def canonical_form(g: Groupoid) -> Groupoid:
     """The least table over all simultaneous relabelings; isomorphism-complete."""
     n = g.order
-    if n > CANONICAL_FORM_BOUND:
-        raise CapacityError(
-            f"canonical form is factorial; order {n} exceeds bound {CANONICAL_FORM_BOUND}"
-        )
+    check_order(n, bound=CANONICAL_FORM_BOUND, limit="canonical form is")
     t = g.table
     best: list[int] | None = None
     cells = [(a, b) for a in range(n) for b in range(n)]
@@ -145,10 +139,7 @@ def are_isomorphic(g: Groupoid, h: Groupoid) -> Permutation | None:
     if g.order != h.order:
         raise ValueError(f"orders differ: {g.order} vs {h.order}")
     n = g.order
-    if n > CANONICAL_FORM_BOUND:
-        raise CapacityError(
-            f"isomorphism test is factorial; order {n} exceeds bound {CANONICAL_FORM_BOUND}"
-        )
+    check_order(n, bound=CANONICAL_FORM_BOUND, limit="isomorphism test is")
     if _isotopy_profile(g) != _isotopy_profile(h):
         return None
     ht = h.table

@@ -165,7 +165,7 @@ class TestRectangular:
         with pytest.raises(CapacityError):
             next(iter_rectangular_tables(6))
         # the arguments are checked at the call, not at the first next()
-        with pytest.raises(CapacityError, match="streaming bound is order 5"):
+        with pytest.raises(CapacityError, match="^streaming is bounded at order 5, got 6$"):
             iter_rectangular_tables(6)
         with pytest.raises(ValueError, match="order must be positive, got 0"):
             iter_rectangular_tables(0)

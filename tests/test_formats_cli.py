@@ -438,6 +438,10 @@ HOSTILE_INPUTS = {
                      "--k", "0"], None, 3, _capacity(10 ** 5)),
     "abelian-10^6": (["construct", "factorization", "--abelian", "1000,1000", "--h", "0",
                       "--k", "0"], None, 3, _capacity(10 ** 6)),
+    "file-order-2049": (["check", "--property", "full", "FILE"], "2049\n", 3,
+                        "capacity: files are bounded at order 2048, got 2049\n"),
+    "file-order-2048": (["check", "--property", "full", "FILE"], "2048\n", 2,
+                        "error: line 2: expected 2048 table lines\n"),
     "entry-plus": (["check", "--property", "full", "FILE"], "2\n0 +1\n1 0\n", 2,
                    "error: line 2: bad entry '+1' in column 1\n"),
     "entry-underscore": (["check", "--property", "full", "FILE"], "2\n0 1\n1 0_0\n", 2,
@@ -513,7 +517,7 @@ class TestCliEnumerate:
     def test_band_blowups_beyond_band_order_ten_thousand_exit_three(self, capsys):
         assert main(["enumerate", "--class", "band-blowups", "--order", "101x100"]) == 3
         assert capsys.readouterr() == (
-            "", "capacity: band blow-up census is bounded at band order 10000\n")
+            "", "capacity: band blow-up census is bounded at order 10000, got 10100\n")
 
     def test_band_blowups_take_labeled_only(self, capsys):
         argv = ["enumerate", "--class", "band-blowups", "--order", "2x2", "--emit", "json"]

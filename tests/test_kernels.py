@@ -3,22 +3,33 @@
 The identity evaluator must return, for every equational ``*_violation``,
 the first failing tuple of ``product(range(n), repeat=k)``; the two-step
 kernel must return the middle-node table or the first pair whose plain path
-count is not 1, through every public function built on it.
+count is not 1, through every public function built on it.  Every order
+parameter of the package must reject non-integers and non-positive values,
+and every bounded entry point must raise CapacityError past its bound, as
+the one order check ``core.check_order`` does.
 """
 
 import ast
 import importlib
+import inspect
 import random
 from pathlib import Path
 
 import pytest
 
 import rectangular
-from rectangular import properties
+from rectangular import census, formats, isotopy, properties
 from rectangular.census import iter_rectangular_tables
-from rectangular.construct import evans_central, rectangular_band
+from rectangular.construct import (
+    abelian_group,
+    constant_groupoid,
+    evans_central,
+    rectangular_band,
+)
 from rectangular.core import (
+    CONSTRUCT_BOUND,
     BoolMatrix,
+    CapacityError,
     FiniteGroup,
     GraphPair,
     Groupoid,
@@ -255,3 +266,107 @@ def test_modules_use_every_name_they_import():
                 if name not in used and not any("noqa: F401" in line for line in marked):
                     unused.append((path.name, name))
     assert unused == []
+
+
+ORDER_NAMES = ("n", "m", "order")
+
+
+def _order_parameters():
+    """(entry point, function, parameter) for every parameter named n, m or
+    order and annotated int, in the package's exports, classes included,
+    and in the classmethods of its exported classes."""
+    functions = []
+    for name in rectangular.__all__:
+        obj = getattr(rectangular, name)
+        if isinstance(obj, type) and not issubclass(obj, BaseException):
+            functions += [(f"{name}.{attr}", getattr(obj, attr))
+                          for attr, value in vars(obj).items() if isinstance(value, classmethod)]
+            functions.append((name, obj))
+        elif callable(obj) and not isinstance(obj, type):
+            functions.append((name, obj))
+    return [(name, fn, p.name) for name, fn in functions
+            for p in inspect.signature(fn).parameters.values()
+            if p.name in ORDER_NAMES and p.annotation in (int, "int")]
+
+
+ORDER_PARAMETERS = _order_parameters()
+
+
+def _call_with(fn, parameter: str, value):
+    """fn called with value for parameter, 2 for its other orders, symbol 0
+    for a, empty sequences for the rest, and the defaults."""
+    args = {}
+    for p in inspect.signature(fn).parameters.values():
+        if p.name == parameter:
+            args[p.name] = value
+        elif p.default is p.empty and p.kind is not p.VAR_POSITIONAL:
+            args[p.name] = 2 if p.name in ORDER_NAMES else 0 if p.name == "a" else ()
+    return fn(**args)
+
+
+def test_the_order_walk_reaches_functions_classes_and_classmethods():
+    found = {f"{name}({parameter})" for name, _, parameter in ORDER_PARAMETERS}
+    assert {"enumerate_band_blow_ups(m)", "rectangular_band(n)", "evans_central(m)",
+            "make_groupoid(order)", "Groupoid(order)", "Transversal(order)",
+            "GraphPair.from_edges(order)", "IsotopyTriple.identity(order)"} <= found
+
+
+@pytest.mark.parametrize("name, fn, parameter", ORDER_PARAMETERS,
+                         ids=[f"{name}-{parameter}" for name, _, parameter in ORDER_PARAMETERS])
+def test_every_order_parameter_rejects_non_integers_and_non_positive_values(name, fn,
+                                                                           parameter):
+    # a float equal to an int would pass a range check and fail later in a
+    # shift, an index or a range() as a TypeError
+    with pytest.raises(ValueError, match="is not an integer$"):
+        _call_with(fn, parameter, 2.0)
+    with pytest.raises(ValueError):
+        _call_with(fn, parameter, 0)
+
+
+def test_abelian_group_moduli_are_checked_like_orders():
+    with pytest.raises(ValueError, match="^modulus: 2.0 is not an integer$"):
+        abelian_group(2.0, 2)
+    with pytest.raises(ValueError, match="^modulus must be positive, got 0$"):
+        abelian_group(2, 0)
+
+
+# Each bounded entry point one step past its bound: the call, the bound and
+# the order the capacity message reports.  The constructions are checked the
+# same way in test_construct.py.
+BOUNDED = {
+    "iter_rectangular_tables": (lambda: iter_rectangular_tables(census.ITER_BOUND + 1),
+                                census.ITER_BOUND, census.ITER_BOUND + 1),
+    "enumerate_rectangular-labeled": (
+        lambda: census.enumerate_rectangular(census.RECT_COUNT_BOUND + 1, "labeled"),
+        census.RECT_COUNT_BOUND, census.RECT_COUNT_BOUND + 1),
+    "enumerate_rectangular-isomorphism": (
+        lambda: census.enumerate_rectangular(census.RECT_COUNT_BOUND + 1, "isomorphism"),
+        census.RECT_COUNT_BOUND, census.RECT_COUNT_BOUND + 1),
+    "enumerate_rectangular-isotopy": (
+        lambda: census.enumerate_rectangular(census.RECT_ISOTOPY_BOUND + 1, "isotopy"),
+        census.RECT_ISOTOPY_BOUND, census.RECT_ISOTOPY_BOUND + 1),
+    # the orders between 16 and 25 are not squares and report no solutions
+    "enumerate_central": (lambda: census.enumerate_central(25), census.CENTRAL_BOUND, 25),
+    "enumerate_band_blow_ups": (
+        lambda: census.enumerate_band_blow_ups(1, census.BLOW_UP_BOUND + 1),
+        census.BLOW_UP_BOUND, census.BLOW_UP_BOUND + 1),
+    "are_isotopic": (
+        lambda: isotopy.are_isotopic(constant_groupoid(7, 0), constant_groupoid(7, 0)),
+        isotopy.ISOTOPY_SEARCH_BOUND, 7),
+    "canonical_form": (lambda: isotopy.canonical_form(constant_groupoid(10, 0)),
+                       isotopy.CANONICAL_FORM_BOUND, 10),
+    "are_isomorphic": (
+        lambda: isotopy.are_isomorphic(constant_groupoid(10, 0), constant_groupoid(10, 0)),
+        isotopy.CANONICAL_FORM_BOUND, 10),
+    **{parse: (lambda parse=parse: getattr(formats, parse)(f"{CONSTRUCT_BOUND + 1}\n"),
+               CONSTRUCT_BOUND, CONSTRUCT_BOUND + 1)
+       for parse in ("parse_table", "parse_partial", "parse_graph_pair", "parse_matrix",
+                     "parse_matrix_pair")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_bounded_entry_points_raise_capacity_error_past_their_bound(name):
+    call, bound, order = BOUNDED[name]
+    with pytest.raises(CapacityError, match=f" bounded at order {bound}, got {order}$"):
+        call()
