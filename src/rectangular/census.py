@@ -40,18 +40,19 @@ Sym(m..n-1), whose least row alone is searched.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import comb, factorial, isqrt
 
 from .core import (
     CapacityError,
     Groupoid,
+    Value,
     bits_of,
     check_order,
     flat_isotopes,
     make_groupoid,
     mask_of,
+    set_field,
     two_step_middles,
 )
 
@@ -64,13 +65,17 @@ ORBIT_BOUND = 10 ** 5     # largest relabeling group orbit absorption walks
 BLOW_UP_BOUND = 10 ** 4   # band order n*m of the blow-up count
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    order: int | tuple[int, int]  # a band blow-up census gives the band's sides
-    mode: str
-    count: int
-    tables: tuple[Groupoid, ...] | None
-    note: str | None = None
+class CensusResult(Value):
+    """A census's class count and, where listed, its tables; a band
+    blow-up census gives the band's sides (n, m) as its order."""
+
+    def __init__(self, order: int | tuple[int, int], mode: str, count: int,
+                 tables: tuple[Groupoid, ...] | None, note: str | None = None):
+        set_field(self, "order", order)
+        set_field(self, "mode", mode)
+        set_field(self, "count", count)
+        set_field(self, "tables", tables)
+        set_field(self, "note", note)
 
 
 def _rect_flats(n: int, firsts):

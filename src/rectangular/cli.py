@@ -1,5 +1,11 @@
 """Command-line workbench over all modules.
 
+A launch imports ``formats``, ``properties`` and ``core`` up front; each
+subcommand imports the modules it calls (``census``, ``construct``,
+``isotopy``, ``transform``) when it runs, so a ``check`` loads none of them.
+The functions are called through their modules, where a caller that wraps
+them finds them.
+
 Exit codes: 0 success / property true; 1 property false or no witness found;
 2 usage or malformed input; 3 capacity exceeded, a file whose order line is
 above 2048 included.
@@ -11,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import census, construct, formats, isotopy, properties, transform
+from . import formats, properties
 from .core import CapacityError, Mapping, Partition, PartitionSystem
 
 
@@ -71,6 +77,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from . import transform
+
     src = _load(args.source, args.file)
     if args.source == "groupoid":
         gp = transform.groupoid_to_graph_pair(src)
@@ -109,13 +117,9 @@ def _partition_order(text: str) -> int:
     return sum(len(_ints(part, "--base")) for part in text.split("|"))
 
 
-def _construct_group(args):
-    if args.cyclic is not None:
-        return construct.cyclic_group(args.cyclic)
-    return construct.abelian_group(*_ints(args.abelian, "--abelian"))
-
-
 def _cmd_construct(args) -> int:
+    from . import construct
+
     kind = args.kind
     one_based = args.one_based
     if kind == "constant":
@@ -147,7 +151,8 @@ def _cmd_construct(args) -> int:
         sys.stdout.write(formats.render_graph_pair(gp))
         return 0
     else:  # factorization
-        gamma = _construct_group(args)
+        gamma = (construct.cyclic_group(args.cyclic) if args.cyclic is not None
+                 else construct.abelian_group(*_ints(args.abelian, "--abelian")))
         gp = construct.group_factorization_pair(
             gamma, set(_ints(args.h, "--h")), set(_ints(args.k, "--k")))
         sys.stdout.write(formats.render_graph_pair(gp))
@@ -165,6 +170,8 @@ def _parse_order_spec(text: str) -> tuple[int, int | None]:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import census
+
     order, second = _parse_order_spec(args.order)
     kind = args.klass
     if args.long_run and kind != "central":
@@ -210,6 +217,8 @@ def _render_permutation(name: str, images, one_based: bool) -> str:
 
 
 def _cmd_isotopy(args) -> int:
+    from . import isotopy
+
     g = formats.parse_table(_read(args.file_a))
     h = formats.parse_table(_read(args.file_b))
     witness = isotopy.are_isotopic(g, h)
@@ -223,6 +232,8 @@ def _cmd_isotopy(args) -> int:
 
 
 def _cmd_transversal(args) -> int:
+    from . import isotopy
+
     g = formats.parse_table(_read(args.file))
     t = isotopy.find_transversal(g)
     if t is None:

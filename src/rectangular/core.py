@@ -3,8 +3,12 @@
 Symbols, rows, columns and graph nodes are always 0-based and live in
 ``0..n-1``.  Edge relations and 0/1-matrix rows are stored as n-bit integers
 (bit ``j`` of row ``i`` set iff ``(i, j)`` is present), so the path-counting
-predicates reduce to AND + popcount.  Every type is frozen; all operations in
-the package are pure functions and safe to call concurrently.
+predicates reduce to AND + popcount.  Every type is a ``Value``, a plain
+class whose ``__init__`` validates and stores its fields and whose base
+gives equality, hashing and repr over them and refuses assignment.  The
+package does not import ``dataclasses``, which with ``inspect`` and ``ast``
+costs a CLI launch about 10 ms.  All operations in the package are pure
+functions and safe to call concurrently.
 
 The kernels every layer shares live here too: the two-step path count
 (``two_step_middles``), the symbols of each line (``line_symbol_sets``), the
@@ -16,12 +20,13 @@ model conversions
 (``groupoid_to_graph_pair``, ``graph_pair_to_groupoid``,
 ``graph_pair_to_matrices``, ``matrices_to_graph_pair``) and the isotope
 kernel (``flat_isotopes``), which states the one isotopy convention
-h(a, b) = gamma^-1(g(alpha(a), beta(b))).
+h(a, b) = gamma^-1(g(alpha(a), beta(b))).  ``FiniteGroup`` checks
+associativity by Light's test on a generating set (``_is_associative``)
+and falls back on ``identity_counterexample`` for the witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
@@ -304,19 +309,58 @@ def _check_bit_rows(order: int, rows, what: str) -> tuple[int, ...]:
     return rows
 
 
-@dataclass(frozen=True)
-class Groupoid:
+set_field = object.__setattr__  # a constructor stores each field past Value.__setattr__
+
+
+class Value:
+    """The base of the value types.
+
+    A subclass's fields are the parameters of its ``__init__``, which
+    validates its arguments and stores each field with ``set_field``.  Values
+    compare and hash as the tuple of their fields, print as
+    ``Name(field=value, ...)``, and refuse assignment and deletion.
+    Instances keep a ``__dict__``, so a ``cached_property`` works.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Groupoid(Value):
     """A binary operation on ``0..n-1`` given by its Cayley table.
 
     ``table[a][b]`` is the product ``a * b``.
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "table",
-                           _check_square(self.order, self.table, "groupoid table"))
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...]):
+        table = _check_square(order, table, "groupoid table")
+        set_field(self, "order", order)
+        set_field(self, "table", table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -349,22 +393,19 @@ def make_groupoid(order: int, entries: Iterable[int]) -> Groupoid:
     return Groupoid(order, rows)
 
 
-@dataclass(frozen=True)
-class GraphPair:
+class GraphPair(Value):
     """Two edge relations (red, green) on the node set ``0..n-1``.
 
     Rows are n-bit masks; loops are allowed, multi-edges are not
     representable.
     """
 
-    order: int
-    red: tuple[int, ...]
-    green: tuple[int, ...]
-
-    def __post_init__(self):
-        for name in ("red", "green"):
-            object.__setattr__(self, name, _check_bit_rows(
-                self.order, getattr(self, name), f"{name} relation"))
+    def __init__(self, order: int, red: tuple[int, ...], green: tuple[int, ...]):
+        red = _check_bit_rows(order, red, "red relation")
+        green = _check_bit_rows(order, green, "green relation")
+        set_field(self, "order", order)
+        set_field(self, "red", red)
+        set_field(self, "green", green)
 
     @classmethod
     def from_edges(cls, order: int,
@@ -394,15 +435,13 @@ class GraphPair:
         return bool(self.green[a] >> b & 1)
 
 
-@dataclass(frozen=True)
-class BoolMatrix:
+class BoolMatrix(Value):
     """An n x n 0/1 matrix stored as bitset rows."""
 
-    order: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", _check_bit_rows(self.order, self.rows, "matrix"))
+    def __init__(self, order: int, rows: tuple[int, ...]):
+        rows = _check_bit_rows(order, rows, "matrix")
+        set_field(self, "order", order)
+        set_field(self, "rows", rows)
 
     @classmethod
     def from_grid(cls, grid: Iterable[Iterable[int]]) -> "BoolMatrix":
@@ -432,16 +471,13 @@ class BoolMatrix:
         return [[self.bit(i, j) for j in range(self.order)] for i in range(self.order)]
 
 
-@dataclass(frozen=True)
-class PartialArray:
+class PartialArray(Value):
     """An n x n array whose cells hold a symbol in ``0..n-1`` or are empty."""
 
-    order: int
-    cells: tuple[tuple[int | None, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cells",
-                           _check_square(self.order, self.cells, "cells", empty=True))
+    def __init__(self, order: int, cells: tuple[tuple[int | None, ...], ...]):
+        cells = _check_square(order, cells, "cells", empty=True)
+        set_field(self, "order", order)
+        set_field(self, "cells", cells)
 
     def filled(self) -> Iterator[tuple[int, int, int]]:
         """Yield (row, col, symbol) for every filled cell."""
@@ -459,18 +495,15 @@ class PartialArray:
         return Groupoid(self.order, self.cells)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A bijection of ``0..n-1`` given by its image sequence."""
 
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        images = tuple(self.images)
+    def __init__(self, images: tuple[int, ...]):
+        images = tuple(images)
         _check_ints(images, "permutation")
         if sorted(images) != list(range(len(images))) or not images:
             raise ValueError(f"images {images} are not a bijection of 0..{len(images) - 1}")
-        object.__setattr__(self, "images", images)
+        set_field(self, "images", images)
 
     @property
     def order(self) -> int:
@@ -495,17 +528,15 @@ def compose(outer: Permutation, inner: Permutation) -> Permutation:
     return Permutation(tuple(outer.images[v] for v in inner.images))
 
 
-@dataclass(frozen=True)
-class IsotopyTriple:
+class IsotopyTriple(Value):
     """Three equal-order permutations (alpha, beta, gamma) witnessing isotopy."""
 
-    alpha: Permutation
-    beta: Permutation
-    gamma: Permutation
-
-    def __post_init__(self):
-        if not (self.alpha.order == self.beta.order == self.gamma.order):
+    def __init__(self, alpha: Permutation, beta: Permutation, gamma: Permutation):
+        if not (alpha.order == beta.order == gamma.order):
             raise ValueError("the three permutations must have the same order")
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "gamma", gamma)
 
     @property
     def order(self) -> int:
@@ -520,30 +551,27 @@ class IsotopyTriple:
         return IsotopyTriple(self.alpha.inverse(), self.beta.inverse(), self.gamma.inverse())
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """A partition of ``0..n-1``; blocks are sorted tuples ordered by least element."""
 
-    order: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        check_order(self.order)
-        _check_ints([x for b in self.blocks for x in b], "partition")
-        blocks = tuple(sorted(tuple(sorted(set(b))) for b in self.blocks))
+    def __init__(self, order: int, blocks: tuple[tuple[int, ...], ...]):
+        check_order(order)
+        _check_ints([x for b in blocks for x in b], "partition")
+        blocks = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
         seen = 0
         for block in blocks:
             if not block:
                 raise ValueError("empty block in partition")
-            if block[0] < 0 or block[-1] >= self.order:
-                raise ValueError(f"block {block} has elements outside 0..{self.order - 1}")
+            if block[0] < 0 or block[-1] >= order:
+                raise ValueError(f"block {block} has elements outside 0..{order - 1}")
             bmask = mask_of(block)
             if bmask & seen:
                 raise ValueError(f"block {block} overlaps another block")
             seen |= bmask
-        if seen != (1 << self.order) - 1:
+        if seen != (1 << order) - 1:
             raise ValueError("blocks do not cover 0..n-1")
-        object.__setattr__(self, "blocks", blocks)
+        set_field(self, "order", order)
+        set_field(self, "blocks", blocks)
 
     @classmethod
     def singletons(cls, order: int) -> "Partition":
@@ -567,26 +595,22 @@ class Partition:
         return self.block_index[x]
 
 
-@dataclass(frozen=True)
-class PartitionSystem:
+class PartitionSystem(Value):
     """A base partition plus, per base block, a companion partition it crosses.
 
     Each base block must be a transversal of its companion: it meets every
     companion block in exactly one element.
     """
 
-    base: Partition
-    companions: tuple[Partition, ...]
-
-    def __post_init__(self):
-        companions = tuple(self.companions)
-        if len(companions) != len(self.base.blocks):
+    def __init__(self, base: Partition, companions: tuple[Partition, ...]):
+        companions = tuple(companions)
+        if len(companions) != len(base.blocks):
             raise ValueError(
                 f"need one companion partition per base block "
-                f"({len(self.base.blocks)}), got {len(companions)}"
+                f"({len(base.blocks)}), got {len(companions)}"
             )
-        for block, theta in zip(self.base.blocks, companions):
-            if theta.order != self.base.order:
+        for block, theta in zip(base.blocks, companions):
+            if theta.order != base.order:
                 raise ValueError("companion partition order differs from base order")
             bmask = mask_of(block)
             for tb in theta.blocks:
@@ -596,38 +620,42 @@ class PartitionSystem:
                         f"base block {block} meets companion block {tb} "
                         f"{hits} times; a transversal must meet it exactly once"
                     )
-        object.__setattr__(self, "companions", companions)
+        set_field(self, "base", base)
+        set_field(self, "companions", companions)
 
     @property
     def order(self) -> int:
         return self.base.order
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Value):
     """A finite group on ``0..n-1`` given by its Cayley table."""
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        grid = _check_square(self.order, self.table, "group table")
-        n = self.order
-        object.__setattr__(self, "table", grid)
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...]):
+        grid = _check_square(order, table, "group table")
+        set_field(self, "order", order)
+        set_field(self, "table", grid)
         identity = next(
-            (e for e in range(n)
-             if all(grid[e][x] == x == grid[x][e] for x in range(n))),
+            (e for e in range(order)
+             if all(grid[e][x] == x == grid[x][e] for x in range(order))),
             None,
         )
         if identity is None:
             raise ValueError("table has no identity element")
-        bad = identity_counterexample(self, "(x*y)*z=x*(y*z)")
-        if bad is not None:
-            raise ValueError(f"table is not associative at ({bad[0]},{bad[1]},{bad[2]})")
-        for a in range(n):
-            if not any(grid[a][b] == identity == grid[b][a] for b in range(n)):
-                raise ValueError(f"element {a} has no inverse")
-        object.__setattr__(self, "_identity", identity)
+        no_inverse = next(
+            (a for a in range(order)
+             if not any(grid[a][b] == identity == grid[b][a] for b in range(order))),
+            None,
+        )
+        # with inverses, Light's test needs at most log2(n) + 1 generators;
+        # without, the scan decides which error comes first, as it always has
+        if no_inverse is not None or not _is_associative(grid):
+            bad = identity_counterexample(self, "(x*y)*z=x*(y*z)")
+            if bad is not None:
+                raise ValueError(f"table is not associative at ({bad[0]},{bad[1]},{bad[2]})")
+        if no_inverse is not None:
+            raise ValueError(f"element {no_inverse} has no inverse")
+        set_field(self, "_identity", identity)
 
     @property
     def identity(self) -> int:
@@ -637,39 +665,63 @@ class FiniteGroup:
         return self.table[a][b]
 
 
-@dataclass(frozen=True)
-class Transversal:
+def _is_associative(rows) -> bool:
+    """Light's associativity test on the rows of a table.
+
+    The elements a with x*(a*y) = (x*a)*y for every x and y are closed
+    under *, so it suffices to test a set that generates the table: each
+    generator is the least element outside the closure of those before it.
+    For generator a and each x, row x*a must equal row x gathered through
+    row a.  Products of tested elements may be bracketed to the left, so
+    the closure is what the generators reach by right multiplication.
+    Where every element has a two-sided inverse each closure is a
+    subgroup, so there are at most log2(n) + 1 generators.
+    """
+    if len(rows) == 1:  # the one table; itemgetter of one index returns no tuple
+        return True
+    closure: set[int] = set()
+    generators = []
+    for a in range(len(rows)):
+        if a in closure:
+            continue
+        through = itemgetter(*rows[a])
+        if any(through(row) != rows[row[a]] for row in rows):
+            return False
+        generators.append(a)
+        new = closure | {a}
+        while new:
+            closure |= new
+            new = {rows[e][g] for e in new for g in generators} - closure
+    return True
+
+
+class Transversal(Value):
     """n cells of an order-n table, one in each row and one in each column."""
 
-    order: int
-    cells: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        cells = tuple(tuple(c) for c in self.cells)
-        check_order(self.order)
+    def __init__(self, order: int, cells: tuple[tuple[int, int], ...]):
+        cells = tuple(tuple(c) for c in cells)
+        check_order(order)
         _check_ints([v for cell in cells for v in cell], "transversal")
         rows = sorted(r for r, _ in cells)
         cols = sorted(c for _, c in cells)
-        if len(cells) != self.order or rows != list(range(self.order)) \
-                or cols != list(range(self.order)):
+        if len(cells) != order or rows != list(range(order)) \
+                or cols != list(range(order)):
             raise ValueError("cells must hit every row and every column exactly once")
-        object.__setattr__(self, "cells", cells)
+        set_field(self, "order", order)
+        set_field(self, "cells", cells)
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(Value):
     """A total map from ``0..d-1`` into a stated codomain; not necessarily injective."""
 
-    images: tuple[int, ...]
-    codomain: int
-
-    def __post_init__(self):
-        images = tuple(self.images)
-        check_order(self.codomain, "codomain")
+    def __init__(self, images: tuple[int, ...], codomain: int):
+        images = tuple(images)
+        check_order(codomain, "codomain")
         _check_ints(images, "mapping")
-        if any(not 0 <= v < self.codomain for v in images):
-            raise ValueError(f"images {images} leave codomain 0..{self.codomain - 1}")
-        object.__setattr__(self, "images", images)
+        if any(not 0 <= v < codomain for v in images):
+            raise ValueError(f"images {images} leave codomain 0..{codomain - 1}")
+        set_field(self, "images", images)
+        set_field(self, "codomain", codomain)
 
     @property
     def domain(self) -> int:

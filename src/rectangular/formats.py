@@ -8,8 +8,6 @@ displayed symbols only.
 
 from __future__ import annotations
 
-import json
-
 from .core import (
     CONSTRUCT_BOUND,
     BoolMatrix,
@@ -74,6 +72,14 @@ def _parse_grid(text: str, allow_empty: bool, noun: str) -> tuple[int, tuple]:
         tokens = lines[1 + i].split()
         if len(tokens) != order:
             raise FormatError(line_no, f"expected {order} entries, got {len(tokens)}")
+        if to_int is int:  # the whole row at once; the loop below names a bad token
+            try:
+                row = tuple(map(int, tokens))
+                if 0 <= min(row) and max(row) < order:
+                    rows.append(row)
+                    continue
+            except ValueError:
+                pass
         row = []
         for col, token in enumerate(tokens):
             if allow_empty and token == ".":
@@ -175,6 +181,8 @@ def render_matrix_pair(a: BoolMatrix, b: BoolMatrix) -> str:
 
 def census_json(result, kind: str) -> str:
     """The JSON of a census.CensusResult; band blow-ups give order (n, m)."""
+    import json  # only a census emits JSON; other commands skip its import
+
     payload = {
         "order": result.order,
         "class": kind,

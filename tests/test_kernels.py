@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import rectangular
-from rectangular import census, formats, isotopy, properties
+from rectangular import census, core, formats, isotopy, properties
 from rectangular.census import iter_rectangular_tables
 from rectangular.construct import (
     abelian_group,
@@ -202,6 +202,42 @@ def test_finite_group_associativity_witness_is_the_first_literal_one():
             assert got == "table is not associative at (%d,%d,%d)" % bad
         outcomes.add(bad is None)
     assert outcomes == {True, False}
+
+
+def test_light_associativity_test_matches_the_literal_scan():
+    rng = random.Random(36)
+    tables = [*oracles.all_tables(1), *oracles.all_tables(2)]
+    for n in range(1, 6):
+        tables += [oracles.random_groupoid(rng, n) for _ in range(200)]
+        tables += [Groupoid(n, tuple(tuple(max(a, b) for b in range(n)) for a in range(n))),
+                   Groupoid(n, tuple(tuple((a + b) % n for b in range(n)) for a in range(n)))]
+        # tables with identity 0 and random rows, as FiniteGroup sees them
+        tables += [Groupoid(n, (tuple(range(n)),) + tuple(
+            (a,) + tuple(rng.randrange(n) for _ in range(n - 1)) for a in range(1, n)))
+            for _ in range(200)]
+    tables += [rectangular_band(2, 2), abelian_group(2, 2)]
+    outcomes = set()
+    for g in tables:
+        want = oracles.literal_identity_violation("associativity_violation", g) is None
+        assert core._is_associative(g.table) == want, g.table
+        outcomes.add((g.order, want))
+    assert outcomes == {(1, True)} | {(n, w) for n in range(2, 6) for w in (True, False)}
+
+
+@pytest.mark.parametrize("cells, text", [
+    (((1, 1), (1, 2)), "table is not associative at (1,1,2)"),
+    (((150, 7), (150, 299)), "table is not associative at (1,149,7)"),
+])
+def test_finite_group_rejects_a_cyclic_table_with_two_cells_swapped(cells, text):
+    # order 300 takes the list path of the identity scan; the texts are
+    # those of the full cubic scan
+    n = 300
+    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+    (a, b), (c, d) = cells
+    rows[a][b], rows[c][d] = rows[c][d], rows[a][b]
+    with pytest.raises(ValueError) as exc:
+        FiniteGroup(n, rows)
+    assert str(exc.value) == text
 
 
 # The functions a traced benchmark run wraps by module attribute and names
