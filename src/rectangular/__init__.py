@@ -13,6 +13,7 @@ from importlib import import_module
 _EXPORTS = {
     "census": (
         "CensusResult",
+        "count_rectangular",
         "enumerate_band_blow_ups",
         "enumerate_central",
         "enumerate_rectangular",

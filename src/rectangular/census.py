@@ -4,9 +4,11 @@ matrices), and one-element blow-ups of rectangular bands.
 Every rectangular table search is one row-major fill of an empty table,
 ``_rect_flats``: it keeps the symbols placed so far in each row and each
 column, the orientation of ``core.line_symbol_sets``, and from those alone
-takes the ones that fit the next cell.  The band blow-ups run no search:
-they are counted in closed form, a sum over the periodic points of the
-corner maps, up to band order 10 000.  The central
+takes the ones that fit the next cell.  The labeled count lists nothing:
+``count_rectangular`` is a transfer over rows, each row a set partition of
+the columns.  The band blow-ups run no search either: they are counted in
+closed form, a sum over the periodic points of the corner maps, up to band
+order 10 000.  The central
 search works on the matrix model: row i's out-neighbours must index rows
 that tile the column set.  BB = J forces BJ = JB, hence every row and
 column sum equals sqrt(n) and the trace is sqrt(n), so loops can be pinned
@@ -23,25 +25,28 @@ solutions are sorted, and each one that no earlier orbit has claimed starts
 a new class, whose every image is looked up in the sorted list and marked.
 Permuting rows, columns and symbols independently maps rectangles to
 rectangles, so the rectangular tables of an order are closed under isotopy
-as well as relabeling; the first member of each isomorphism or isotopy
-orbit is the least table of its class.  The images are isotopes by
+as well as relabeling; the first member of each orbit met is the least
+table of its class among those listed.  The images are isotopes by
 ``core.flat_isotopes``, h(a, b) = gamma^-1(g(alpha(a), beta(b))).  Relabeling
 a matrix by p relabels its groupoid by p, so the central orbits are absorbed
 over the solutions' tables by the same kernel, with alpha = beta = gamma.
 
-Each census searches one first cell or one first row; symmetry gives the
-rest, so there is no worker pool (``jobs`` is checked but has no effect).
-Renaming symbols 0 and v maps the rectangular tables with 0*0 = 0 onto
-those with 0*0 = v.  No edge of a central matrix joins two loops, so its
+Each census lists only the shards where a class's least table can lie, so
+there is no worker pool (``jobs`` is checked but has no effect).  A table
+with 0*0 = 0 is less than every table with 0*0 > 0.  gamma can rename any
+symbol to 0, so every isotopy class has its least table in the 0*0 = 0
+shard.  A relabeling moves an idempotent to 0, so an isomorphism class with
+an idempotent has its least table there too; an idempotent-free class has
+no member with 0*0 = 0, and relabeling 1 and 0*0 puts its least table in
+the 0*0 = 1 shard.  No edge of a central matrix joins two loops, so its
 first rows are the loop at 0 plus m - 1 non-loops: one orbit under
 Sym(m..n-1), whose least row alone is searched.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations, permutations, product
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 
 from .core import (
     CapacityError,
@@ -57,7 +62,8 @@ from .core import (
 )
 
 RECT_LIST_BOUND = 3       # full labeled listing
-RECT_COUNT_BOUND = 4      # labeled counting / isomorphism classes
+RECT_COUNT_BOUND = 5      # labeled counting, by the row transfer
+RECT_ISO_BOUND = 4        # isomorphism classes
 RECT_ISOTOPY_BOUND = 3
 ITER_BOUND = 5            # streaming generator
 CENTRAL_BOUND = 16
@@ -128,10 +134,11 @@ def _orbit_firsts(items: list, images) -> list:
     items; images(item) yields the item's whole orbit.
 
     Each time the walk meets an item no earlier orbit has claimed, every
-    image of it is looked up in items by bisection and marked, so the
+    image of it is looked up in an index of items and marked, so the
     images are computed once per orbit, not once per item.  Images missing
     from items are ignored.
     """
+    index = {item: i for i, item in enumerate(items)}
     seen = bytearray(len(items))
     firsts = []
     for i, item in enumerate(items):
@@ -139,51 +146,101 @@ def _orbit_firsts(items: list, images) -> list:
             continue
         firsts.append(item)
         for image in images(item):
-            j = bisect_left(items, image)
-            if j < len(items) and items[j] == image:
+            j = index.get(image)
+            if j is not None:
                 seen[j] = 1
     return firsts
+
+
+def _column_partitions(n: int) -> list[tuple[int, ...]]:
+    """Every set partition of the n columns, as a tuple of block bitmasks."""
+    parts: list[tuple[int, ...]] = [()]
+    for c in range(n):
+        bit = 1 << c
+        parts = [p[:i] + (b | bit,) + p[i + 1:] for p in parts for i, b in enumerate(p)] \
+            + [p + (bit,) for p in parts]
+    return parts
+
+
+def count_rectangular(n: int) -> tuple[tuple[int, ...], int]:
+    """(U(n, 1..n), the labeled count) for the rectangular tables of order n.
+
+    U(n, k) counts the partitions of the n x n grid into k rectangles R x C;
+    labeling them injectively by the n symbols gives n!/(n-k)! tables each.
+    A transfer over rows: row r splits the columns into the column sets of
+    its rectangles, a set partition.  The state is the multiset of column
+    sets of the rectangles met so far, a sorted tuple of masks, so k_B, the
+    number with column set B, is the multiplicity of B.  Each block B of
+    the next row either opens a new rectangle (one more x) or joins one of
+    the k_B open ones (weight k_B), the Stirling recurrence.  States with
+    more than n rectangles can take no injective labeling and are dropped.
+    """
+    check_order(n, bound=RECT_COUNT_BOUND, limit="mode labeled is")
+    parts = _column_partitions(n)
+    states = {(): 1}
+    for _ in range(n):
+        after: dict[tuple[int, ...], int] = {}
+        for state, ways in states.items():
+            have = {b: state.count(b) for b in state}
+            room = n - len(state)
+            for part in parts:
+                new = tuple(b for b in part if b not in have)
+                old = [b for b in part if b in have]
+                for j in range(min(len(old), room - len(new)) + 1):
+                    for opened in combinations(old, j):
+                        key = tuple(sorted(state + new + opened))
+                        after[key] = after.get(key, 0) + ways * prod(
+                            have[b] for b in old if b not in opened)
+        states = after
+    u = [0] * (n + 1)
+    for state, ways in states.items():
+        u[len(state)] += ways
+    return tuple(u[1:]), sum(factorial(n) // factorial(n - k) * u[k] for k in range(1, n + 1))
 
 
 def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> CensusResult:
     """Census of rectangular groupoids of order n.
 
-    mode "labeled": all tables (listed up to order 3, counted at order 4).
+    mode "labeled": all tables, listed up to order 3 and counted by
+    ``count_rectangular`` up to order 5.
     mode "isomorphism": the least labeled table of each isomorphism class,
     order <= 4.
     mode "isotopy": the least table of each isotopy class, order <= 3.
 
-    Every mode searches only the tables with 0*0 = 0 and gets the rest by
-    renaming symbols 0 and v; the class modes absorb the orbits of the
-    isotope kernel over the sorted tables, as the module docstring says.
-    jobs is checked but has no effect.
+    The class modes absorb the orbits of the isotope kernel over the sorted
+    tables of the shards that hold the least tables, as the module
+    docstring says: isotopy over the 0*0 = 0 shard, isomorphism over it and
+    then over the idempotent-free tables with 0*0 = 1, the 0 <-> 1 symbol
+    swap of the first shard.  jobs is checked but has no effect.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     bound = {"labeled": RECT_COUNT_BOUND,
-             "isomorphism": RECT_COUNT_BOUND,
+             "isomorphism": RECT_ISO_BOUND,
              "isotopy": RECT_ISOTOPY_BOUND}.get(mode)
     if bound is None:
         raise ValueError(f"unknown mode {mode!r}")
     check_order(n, bound=bound, limit=f"mode {mode} is")
 
-    flats = list(_rect_flats(n, (0,)))
-    base = len(flats)
-    if mode == "labeled" and n > RECT_LIST_BOUND:  # the swaps below are a bijection
-        return CensusResult(n, mode, n * base, None,
-                            note=f"listing is bounded at order {RECT_LIST_BOUND}")
-    for v in range(1, n):  # the tables with 0*0 = v: swap symbols 0 and v
-        swap = [v if y == 0 else 0 if y == v else y for y in range(n)]
-        flats.extend(tuple([swap[y] for y in flats[i]]) for i in range(base))
-    flats.sort()
     if mode == "labeled":
-        return CensusResult(n, mode, len(flats),
-                            tuple(make_groupoid(n, f) for f in flats))
+        if n > RECT_LIST_BOUND:
+            return CensusResult(n, mode, count_rectangular(n)[1], None,
+                                note=f"listing is bounded at order {RECT_LIST_BOUND}")
+        tables = tuple(make_groupoid(n, f) for f in _rect_flats(n, range(n)))
+        return CensusResult(n, mode, len(tables), tables)
 
     perms = list(permutations(range(n)))
-    triples = ([(s, s, s) for s in perms] if mode == "isomorphism"
-               else list(product(perms, repeat=3)))
-    tables = tuple(make_groupoid(n, f) for f in _orbit_firsts(flats, flat_isotopes(n, triples)))
+    zero = list(_rect_flats(n, (0,)))
+    if mode == "isotopy":
+        firsts = _orbit_firsts(zero, flat_isotopes(n, list(product(perms, repeat=3))))
+    else:
+        images = flat_isotopes(n, [(s, s, s) for s in perms])
+        swap = (1, 0, *range(2, n)) if n > 1 else (0,)
+        # the swap of t is idempotent at a exactly where t[a][a] = swap[a]
+        free = sorted(tuple([swap[y] for y in t]) for t in zero
+                      if all(t[a * (n + 1)] != swap[a] for a in range(n)))
+        firsts = _orbit_firsts(zero, images) + _orbit_firsts(free, images)
+    tables = tuple(make_groupoid(n, f) for f in firsts)
     return CensusResult(n, mode, len(tables), tables)
 
 

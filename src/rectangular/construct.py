@@ -9,7 +9,7 @@ returns plain structures on ``0..n-1``.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 from .core import (
@@ -192,19 +192,25 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def abelian_group(*moduli: int) -> FiniteGroup:
-    """Direct product of cyclic groups, flattened row-major."""
+    """Direct product of cyclic groups, flattened row-major.
+
+    Element (x, y) of G x Z_m is x*m + y, a mixed-radix sum.  Row y of Z_m
+    is 0..m-1 rotated left by y, so row (x, y) of the product is, for each
+    entry s of row x of G, the block s*m .. s*m + m - 1 rotated left by y.
+    The rotations are slices of one block per s, so they share its ints.
+    """
     if not moduli:
         raise ValueError("moduli must be a nonempty list of positive integers")
     for m in moduli:
         check_order(m, "modulus")
     check_order(prod(moduli), bound=CONSTRUCT_BOUND)
-    # product() lists the elements with the left factor major
-    elements = list(product(*(range(m) for m in moduli)))
-    index = {x: i for i, x in enumerate(elements)}
-    table = tuple(tuple(index[tuple([(a + b) % m for a, b, m in zip(x, y, moduli)])]
-                        for y in elements)
-                  for x in elements)
-    return FiniteGroup(len(elements), table)
+    table: tuple[tuple[int, ...], ...] = ((0,),)
+    for m in moduli:
+        blocks = [tuple(range(s * m, s * m + m)) for s in range(len(table))]
+        rotated = [[b[y:] + b[:y] for b in blocks] for y in range(m)]
+        table = tuple(tuple(chain.from_iterable(map(rotated[y].__getitem__, row)))
+                      for row in table for y in range(m))
+    return FiniteGroup(len(table), table)
 
 
 def group_factorization_pair(gamma: FiniteGroup, h: set[int] | frozenset[int],

@@ -14,15 +14,15 @@ The kernels every layer shares live here too: the two-step path count
 (``two_step_middles``), the symbols of each line (``line_symbol_sets``), the
 identity evaluator (``identity_counterexample``, which holds a side over
 its last variable as ``bytes`` up to order 256, composing rows with
-``bytes.translate``, and as a list above 256), the pair carrier
+``bytes.translate``, and as a tuple gathered by ``itemgetter`` above 256,
+and decides the associative law by Light's test on a generating set,
+``_is_associative``), the pair carrier
 (``pair_groupoid``, pair (a, b) of an n x m carrier being a*m + b), the
 model conversions
 (``groupoid_to_graph_pair``, ``graph_pair_to_groupoid``,
 ``graph_pair_to_matrices``, ``matrices_to_graph_pair``) and the isotope
 kernel (``flat_isotopes``), which states the one isotopy convention
-h(a, b) = gamma^-1(g(alpha(a), beta(b))).  ``FiniteGroup`` checks
-associativity by Light's test on a generating set (``_is_associative``)
-and falls back on ``identity_counterexample`` for the witness.
+h(a, b) = gamma^-1(g(alpha(a), beta(b))).
 """
 
 from __future__ import annotations
@@ -232,6 +232,42 @@ def _parse_identity(identity: str) -> tuple[tuple, str, tuple]:
     return tuple(outer), last, tuple(sides)
 
 
+def _sequences(table):
+    """(rows, ids, compose) for the identity evaluator: the table's rows as
+    sequences over 0..n-1, the sequence 0..n-1, and compose(s, idx), the
+    sequence s*v over the v in the sequence idx.
+
+    Up to order 256 every symbol fits in a byte: the sequences are bytes,
+    and compose is ``idx.translate`` of row s padded to 256 bytes.  Above
+    256 they are tuples, gathered by ``operator.itemgetter``.
+    """
+    n = len(table)
+    if n <= 256:
+        t = [bytes(row) for row in table]
+        padded = [row + bytes(256 - n) for row in t]
+
+        def compose(s, idx):
+            return idx.translate(padded[s])
+        return t, bytes(range(n)), compose
+    t = [tuple(row) for row in table]
+
+    def compose(s, idx):
+        return itemgetter(*idx)(t[s])
+    return t, tuple(range(n)), compose
+
+
+def _is_associative_law(sides) -> bool:
+    """Whether sides are (p*q)*r and p*(q*r), either first, for three
+    distinct variables p, q and r."""
+    for left, right in (sides, sides[::-1]):
+        if isinstance(left, tuple) and isinstance(left[0], tuple):
+            (p, q), r = left
+            if right == (p, (q, r)) and all(isinstance(v, str) for v in (p, q, r)) \
+                    and len({p, q, r}) == 3:
+                return True
+    return False
+
+
 def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     """The lexicographically first tuple of values, one per variable in
     alphabetical order, at which ``identity`` fails in the table of g (a
@@ -239,28 +275,16 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
 
     Each side is compiled once per call into closures that, for fixed
     values of the other variables, compute the side as a sequence over the
-    last variable.  Up to order 256 every symbol fits in a byte: the
-    sequences are bytes, and row s composed with a sequence idx is
-    ``idx.translate`` of row s padded to 256 bytes.  Above 256 they are
-    lists, composed one entry at a time.  A malformed identity raises
-    ValueError.
+    last variable (``_sequences``).  The associative law, in any letters and
+    either side first, is decided first by Light's test (``_is_associative``);
+    only a table that fails it is scanned for the witness.  A malformed
+    identity raises ValueError.
     """
     outer, last, sides = _parse_identity(identity)
+    if _is_associative_law(sides) and _is_associative(g.table):
+        return None
     n = g.order
-    if n <= 256:
-        t = [bytes(row) for row in g.table]
-        ids = bytes(range(n))
-        padded = [row + bytes(256 - n) for row in t]
-
-        def compose(s, idx):
-            return idx.translate(padded[s])
-    else:
-        t = [list(row) for row in g.table]
-        ids = list(range(n))
-
-        def compose(s, idx):
-            row = t[s]
-            return [row[v] for v in idx]
+    t, ids, compose = _sequences(g.table)
 
     def sequence(term):  # a side that does not vary is one symbol n times over
         fn, varies = _compile(term, last, outer, t, ids, compose)
@@ -642,17 +666,14 @@ class FiniteGroup(Value):
         )
         if identity is None:
             raise ValueError("table has no identity element")
+        bad = identity_counterexample(self, "(x*y)*z=x*(y*z)")
+        if bad is not None:
+            raise ValueError(f"table is not associative at ({bad[0]},{bad[1]},{bad[2]})")
         no_inverse = next(
             (a for a in range(order)
              if not any(grid[a][b] == identity == grid[b][a] for b in range(order))),
             None,
         )
-        # with inverses, Light's test needs at most log2(n) + 1 generators;
-        # without, the scan decides which error comes first, as it always has
-        if no_inverse is not None or not _is_associative(grid):
-            bad = identity_counterexample(self, "(x*y)*z=x*(y*z)")
-            if bad is not None:
-                raise ValueError(f"table is not associative at ({bad[0]},{bad[1]},{bad[2]})")
         if no_inverse is not None:
             raise ValueError(f"element {no_inverse} has no inverse")
         set_field(self, "_identity", identity)
@@ -665,33 +686,34 @@ class FiniteGroup(Value):
         return self.table[a][b]
 
 
-def _is_associative(rows) -> bool:
-    """Light's associativity test on the rows of a table.
+def _is_associative(table) -> bool:
+    """Light's associativity test on a table.
 
     The elements a with x*(a*y) = (x*a)*y for every x and y are closed
     under *, so it suffices to test a set that generates the table: each
     generator is the least element outside the closure of those before it.
     For generator a and each x, row x*a must equal row x gathered through
-    row a.  Products of tested elements may be bracketed to the left, so
-    the closure is what the generators reach by right multiplication.
-    Where every element has a two-sided inverse each closure is a
-    subgroup, so there are at most log2(n) + 1 generators.
+    row a (``_sequences``).  Products of tested elements may be bracketed
+    to the left, so the closure is what the generators reach by right
+    multiplication; it grows by the new generator, the old elements times
+    it, and the new elements times every generator, so each product is
+    taken once.  A group needs at most log2(n) + 1 generators, a left-zero
+    band x*y = x all n.
     """
-    if len(rows) == 1:  # the one table; itemgetter of one index returns no tuple
-        return True
+    t, _, compose = _sequences(table)
+    n = len(t)
     closure: set[int] = set()
-    generators = []
-    for a in range(len(rows)):
+    generators: list[int] = []
+    for a in range(n):
         if a in closure:
             continue
-        through = itemgetter(*rows[a])
-        if any(through(row) != rows[row[a]] for row in rows):
+        if any(compose(x, t[a]) != t[t[x][a]] for x in range(n)):
             return False
         generators.append(a)
-        new = closure | {a}
+        new = {a, *(t[e][a] for e in closure)} - closure
         while new:
             closure |= new
-            new = {rows[e][g] for e in new for g in generators} - closure
+            new = {t[e][g] for e in new for g in generators} - closure
     return True
 
 

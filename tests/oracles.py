@@ -476,3 +476,55 @@ def symmetric_group_3():
         for p in elems
     )
     return FiniteGroup(6, table)
+
+
+def rect_census_by_full_absorption(n: int, mode: str) -> list[tuple[int, ...]]:
+    """The least flat table of each isomorphism or isotopy class of
+    rectangular order-n tables, sorted, as the census first found them:
+    the 0*0 = 0 shard renamed by the symbol swap 0 <-> v for every v, all
+    n shards sorted together, and every orbit absorbed over the whole list
+    by bisection."""
+    from bisect import bisect_left
+
+    from rectangular.census import _rect_flats
+    from rectangular.core import flat_isotopes
+
+    flats = list(_rect_flats(n, (0,)))
+    base = len(flats)
+    for v in range(1, n):
+        swap = [v if y == 0 else 0 if y == v else y for y in range(n)]
+        flats.extend(tuple([swap[y] for y in flats[i]]) for i in range(base))
+    flats.sort()
+    perms = list(permutations(range(n)))
+    triples = ([(s, s, s) for s in perms] if mode == "isomorphism"
+               else list(product(perms, repeat=3)))
+    images = flat_isotopes(n, triples)
+    seen = bytearray(len(flats))
+    firsts = []
+    for i, flat in enumerate(flats):
+        if seen[i]:
+            continue
+        firsts.append(flat)
+        for image in images(flat):
+            j = bisect_left(flats, image)
+            if j < len(flats) and flats[j] == image:
+                seen[j] = 1
+    return firsts
+
+
+def abelian_group_table(*moduli: int) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of Z_m1 x ... x Z_mk, its elements the tuples of
+    product() over the moduli in order, each sum looked up in a dict."""
+    elements = list(product(*(range(m) for m in moduli)))
+    index = {x: i for i, x in enumerate(elements)}
+    return tuple(tuple(index[tuple((a + b) % m for a, b, m in zip(x, y, moduli))]
+                       for y in elements)
+                 for x in elements)
+
+
+def stirling2(n: int, k: int) -> int:
+    """S(n, k), the partitions of n things into k nonempty sets, by the
+    recurrence S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, islice, permutations
 from math import comb, factorial, isqrt
@@ -119,6 +120,22 @@ class TestRectangular:
             assert enumerate_rectangular(n, "isotopy").tables == \
                 oracles.isotopy_reps_by_merging(_iso_reps(n))
 
+    def test_shard_absorption_matches_the_absorption_over_every_shard(self):
+        for n in range(1, 5):
+            assert [g.flat() for g in _iso_reps(n)] == \
+                oracles.rect_census_by_full_absorption(n, "isomorphism")
+        for n in range(1, 4):
+            assert [g.flat() for g in enumerate_rectangular(n, "isotopy").tables] == \
+                oracles.rect_census_by_full_absorption(n, "isotopy")
+
+    def test_least_tables_lie_in_the_first_two_shards(self):
+        # a class with an idempotent starts 0*0 = 0, an idempotent-free one 0*0 = 1
+        reps = _iso_reps(4)
+        firsts = [g.table[0][0] for g in reps]
+        idempotent = [any(g.table[a][a] == a for a in range(4)) for g in reps]
+        assert firsts == [0 if i else 1 for i in idempotent]
+        assert (firsts.count(0), firsts.count(1)) == (1243, 621)
+
     def test_isotopy_classes_are_isotopy_inequivalent(self):
         reps = enumerate_rectangular(3, "isotopy").tables
         for i, g in enumerate(reps):
@@ -138,7 +155,7 @@ class TestRectangular:
 
     def test_capacity_bounds(self):
         with pytest.raises(CapacityError):
-            enumerate_rectangular(5, "labeled")
+            enumerate_rectangular(6, "labeled")
         with pytest.raises(CapacityError):
             enumerate_rectangular(4, "isotopy")
         with pytest.raises(ValueError, match="unknown mode"):
@@ -421,6 +438,34 @@ class TestBandBlowUps:
                 enumerate_band_blow_ups(n, m)
         with pytest.raises(ValueError):
             enumerate_band_blow_ups(0, 2)
+
+
+class TestCountRectangular:
+    def test_transfer_equals_the_search(self):
+        # U(n, k) times n!/(n-k)! is the number of listed tables with k symbols
+        for n in range(1, 5):
+            u, labeled = census.count_rectangular(n)
+            by_symbols = Counter(len(set(f)) for f in census._rect_flats(n, range(n)))
+            assert labeled == sum(by_symbols.values())
+            assert [u[k - 1] * oracles.falling(n, k) for k in range(1, n + 1)] == \
+                [by_symbols[k] for k in range(1, n + 1)]
+
+    def test_closed_forms(self):
+        for n in range(1, 6):
+            u, labeled = census.count_rectangular(n)
+            assert len(u) == n and u[0] == 1
+            assert labeled == sum(oracles.falling(n, k) * u[k - 1] for k in range(1, n + 1))
+            if n >= 2:
+                assert u[1] == 2 ** n - 2
+            if n >= 3:
+                assert u[2] == 2 * oracles.stirling2(n, 3) + 2 * (2 ** n - 2) * (2 ** (n - 1) - 1)
+        assert (u, labeled) == ((1, 30, 950, 14795, 183902), 23901245)
+
+    def test_labeled_census_counts_through_the_transfer(self, monkeypatch):
+        monkeypatch.setattr(census, "_rect_flats", None)  # no listing runs
+        r = enumerate_rectangular(4, "labeled")
+        assert (r.count, r.tables, r.note) == (ORDER_4_LABELED, None,
+                                               "listing is bounded at order 3")
 
 
 def test_census_result_is_frozen():

@@ -345,6 +345,11 @@ class TestGroups:
         assert g.order == len(table)
         assert g.table == tuple(tuple(row) for row in table)
 
+    @pytest.mark.parametrize("moduli", [(1,), (2,), (7,), (2, 2), (2, 3), (3, 1, 2), (4, 2, 3),
+                                        (5, 4), (2,) * 6, (300,), (2, 150)])
+    def test_abelian_table_matches_the_literal_sum_and_lookup(self, moduli):
+        assert abelian_group(*moduli).table == oracles.abelian_group_table(*moduli)
+
     def test_factorization_z6(self):
         gp = group_factorization_pair(cyclic_group(6), {0, 3}, {0, 1, 2})
         assert satisfies_p2(gp)

@@ -558,6 +558,17 @@ class TestCliEnumerate:
                      "--up-to", "labeled", "--emit", "tables"]) == 3
         assert capsys.readouterr() == ("", "capacity: listing is bounded at order 3\n")
 
+    def test_labeled_count_at_order_five(self, capsys):
+        assert main(["enumerate", "--class", "rectangular", "--order", "5",
+                     "--up-to", "labeled"]) == 0
+        assert capsys.readouterr() == ("23901245\n", "listing is bounded at order 3\n")
+
+    def test_labeled_count_beyond_order_five_exit_three(self, capsys):
+        assert main(["enumerate", "--class", "rectangular", "--order", "6",
+                     "--up-to", "labeled"]) == 3
+        assert capsys.readouterr() == (
+            "", "capacity: mode labeled is bounded at order 5, got 6\n")
+
     def test_band_blowup_tables_rejected_before_the_census(self, capsys, monkeypatch):
         def census_run(*args):
             raise AssertionError("the census ran")
@@ -635,6 +646,7 @@ CENSUS_JSON_SHA256 = {
     ("rectangular", "labeled", 2): "965b1a169e8f9d863f768e9c582448720b8027c7af5cdcce2e3a171f71e13c71",
     ("rectangular", "labeled", 3): "8ff45573aa8a46a5f744a51ef85b9f0f1ec9d8524edb22f7d89e1304d63f038f",
     ("rectangular", "labeled", 4): "2e03ea68e95751be0b9beab54955476d5963c915c27e639f4e73d0ae7c91b2b5",
+    ("rectangular", "labeled", 5): "1ce7c7d1e0aab1e5bec8919c4a4704383e0446ccf7e001471511cefe6dc5d2b5",
     ("rectangular", "iso", 1): "4a7aa705069b107614fae28c04e2e3b5136c1fad890c74ce4d657c9cba96294c",
     ("rectangular", "iso", 2): "cac6958a7a724ff83e1ed4085c82fd20d3247be9ecf45664cbe3a9475e485f89",
     ("rectangular", "iso", 3): "b3ef962eac3873e076812dc42a5e41ee7fbf87e662f867f8bcf7aad75b2e839d",

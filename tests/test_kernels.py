@@ -224,6 +224,44 @@ def test_light_associativity_test_matches_the_literal_scan():
     assert outcomes == {(1, True)} | {(n, w) for n in range(2, 6) for w in (True, False)}
 
 
+def _left_zero_band(n):
+    """x*y = x: associative, and each element generates only itself, so
+    Light's test takes all n as generators."""
+    return Groupoid(n, tuple((a,) * n for a in range(n)))
+
+
+def test_associative_law_by_light_keeps_the_literal_witness():
+    # identity_counterexample passes the associative law by Light's test and
+    # scans only the tables that fail it
+    rng = random.Random(38)
+    associative = [rectangular_band(2, 3), rectangular_band(3, 3), abelian_group(2, 3),
+                   abelian_group(8), _left_zero_band(5), _left_zero_band(7),
+                   Groupoid(6, tuple(tuple(max(a, b) for b in range(6)) for a in range(6)))]
+    tables = [oracles.random_groupoid(rng, n) for n in range(1, 6) for _ in range(100)]
+    tables += associative + [oracles.one_cell_change(g, rng.randrange(g.order),
+                                                     rng.randrange(g.order))
+                             for g in associative for _ in range(5)]
+    outcomes = set()
+    for g in tables:
+        want = oracles.literal_identity_violation("associativity_violation", g)
+        for identity in ("(x*y)*z=x*(y*z)", "a*(b*c) = (a*b)*c", "p*q*r=p*(q*r)"):
+            assert identity_counterexample(g, identity) == want, (g.table, identity)
+        assert properties.associativity_violation(g) == want
+        # other letter roles, and laws that only look like associativity
+        for identity in ("z*(y*x)=(z*y)*x", "(x*y)*z=y*(x*z)", "(x*x)*y=x*(x*y)"):
+            assert identity_counterexample(g, identity) == \
+                oracles.identity_violation_by_eval(g, identity), (g.table, identity)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+    # either side of order 256, where every element is a generator
+    for n in (256, 300):
+        band = _left_zero_band(n)
+        assert identity_counterexample(band, "(x*y)*z=x*(y*z)") is None
+        changed = oracles.one_cell_change(band, 1, 2)
+        assert identity_counterexample(changed, "(x*y)*z=x*(y*z)") == (1, 0, 2) == \
+            oracles.literal_identity_violation("associativity_violation", changed)
+
+
 @pytest.mark.parametrize("cells, text", [
     (((1, 1), (1, 2)), "table is not associative at (1,1,2)"),
     (((150, 7), (150, 299)), "table is not associative at (1,149,7)"),
@@ -376,8 +414,10 @@ BOUNDED = {
         lambda: census.enumerate_rectangular(census.RECT_COUNT_BOUND + 1, "labeled"),
         census.RECT_COUNT_BOUND, census.RECT_COUNT_BOUND + 1),
     "enumerate_rectangular-isomorphism": (
-        lambda: census.enumerate_rectangular(census.RECT_COUNT_BOUND + 1, "isomorphism"),
-        census.RECT_COUNT_BOUND, census.RECT_COUNT_BOUND + 1),
+        lambda: census.enumerate_rectangular(census.RECT_ISO_BOUND + 1, "isomorphism"),
+        census.RECT_ISO_BOUND, census.RECT_ISO_BOUND + 1),
+    "count_rectangular": (lambda: census.count_rectangular(census.RECT_COUNT_BOUND + 1),
+                          census.RECT_COUNT_BOUND, census.RECT_COUNT_BOUND + 1),
     "enumerate_rectangular-isotopy": (
         lambda: census.enumerate_rectangular(census.RECT_ISOTOPY_BOUND + 1, "isotopy"),
         census.RECT_ISOTOPY_BOUND, census.RECT_ISOTOPY_BOUND + 1),
