@@ -4,43 +4,39 @@ matrices), and one-element blow-ups of rectangular bands.
 Every rectangular table search is one row-major fill of an empty table,
 ``_rect_flats``: it keeps the symbols placed so far in each row and each
 column, the orientation of ``core.line_symbol_sets``, and from those alone
-takes the ones that fit the next cell.  The labeled count lists nothing:
-``count_rectangular`` is a transfer over rows, each row a set partition of
-the columns.  The band blow-ups run no search either: they are counted in
-closed form, a sum over the periodic points of the corner maps, up to band
-order 10 000.  The central
-search works on the matrix model: row i's out-neighbours must index rows
-that tile the column set.  BB = J forces BJ = JB, hence every row and
-column sum equals sqrt(n) and the trace is sqrt(n), so loops can be pinned
-to the first sqrt(n) indices.  The rows are set in index order, so one
-blocked mask per row, the columns already covered in the lines the row
-joins, stands for every tiling it takes part in; its own line's rows must
-be pairwise disjoint, and a line with one row left forces that row.  The
-relabelings that keep the loops first, Sym(0..m-1) x Sym(m..n-1), then act
-on the solutions, and the isomorphism classes are their orbits.
+takes the ones that fit the next cell.  Permuting rows, columns and symbols
+independently maps rectangles to rectangles, so the rectangular tables of
+an order are closed under isotopy as well as relabeling.  The class
+censuses make the fill orderly (Read, "Every one a winner", 1978): when a
+row is complete, each isotope of the table by the group's moves, in the
+convention of ``core.flat_isotopes``, is compared with it over the rows
+both have filled.  One already smaller cuts the branch and one already
+larger is dropped, so a complete table that survives is no greater than
+any isotope of it: the search reaches each class once, at its least
+table, and deduplicates nothing afterwards.  The labeled count lists
+nothing: ``count_rectangular`` is a transfer over rows, each row a set
+partition of the columns.  The band blow-ups run no search either: they
+are counted in closed form, a sum over the periodic points of the corner
+maps, up to band order 10 000.
 
-Every class census deduplicates by orbit absorption (``_orbit_firsts``,
-after McKay, "Isomorph-free exhaustive generation", 1998): the labeled
-solutions are sorted, and each one that no earlier orbit has claimed starts
-a new class, whose every image is looked up in the sorted list and marked.
-Permuting rows, columns and symbols independently maps rectangles to
-rectangles, so the rectangular tables of an order are closed under isotopy
-as well as relabeling; the first member of each orbit met is the least
-table of its class among those listed.  The images are isotopes by
-``core.flat_isotopes``, h(a, b) = gamma^-1(g(alpha(a), beta(b))).  Relabeling
-a matrix by p relabels its groupoid by p, so the central orbits are absorbed
-over the solutions' tables by the same kernel, with alpha = beta = gamma.
-
-Each census lists only the shards where a class's least table can lie, so
-there is no worker pool (``jobs`` is checked but has no effect).  A table
-with 0*0 = 0 is less than every table with 0*0 > 0.  gamma can rename any
-symbol to 0, so every isotopy class has its least table in the 0*0 = 0
-shard.  A relabeling moves an idempotent to 0, so an isomorphism class with
-an idempotent has its least table there too; an idempotent-free class has
-no member with 0*0 = 0, and relabeling 1 and 0*0 puts its least table in
-the 0*0 = 1 shard.  No edge of a central matrix joins two loops, so its
-first rows are the loop at 0 plus m - 1 non-loops: one orbit under
-Sym(m..n-1), whose least row alone is searched.
+The central search works on the matrix model: row i's out-neighbours must
+index rows that tile the column set.  BB = J forces BJ = JB, hence every
+row and column sum equals sqrt(n) and the trace is sqrt(n), so loops can
+be pinned to the first sqrt(n) indices.  The rows are set in index order,
+so one blocked mask per row, the columns already covered in the lines the
+row joins, stands for every tiling it takes part in; its own line's rows
+must be pairwise disjoint, and a line with one row left forces that row.
+No edge of a central matrix joins two loops, so its first rows are the
+loop at 0 plus m - 1 non-loops: one orbit under Sym(m..n-1), whose least
+row alone is searched.  The relabelings that keep the loops first,
+Sym(0..m-1) x Sym(m..n-1), then act on the solutions, and the isomorphism
+classes are their orbits, found by orbit absorption (``_orbit_firsts``,
+after McKay, "Isomorph-free exhaustive generation", 1998): the solutions'
+tables are sorted, and each one that no earlier orbit has claimed starts a
+new class, whose every image by ``core.flat_isotopes`` (alpha = beta =
+gamma, since relabeling a matrix by p relabels its groupoid by p) is
+looked up in the sorted list and marked.  There is no worker pool
+(``jobs`` is checked but has no effect).
 """
 
 from __future__ import annotations
@@ -52,10 +48,10 @@ from .core import (
     CapacityError,
     Groupoid,
     Value,
+    _kernel_groupoid,
     bits_of,
     check_order,
     flat_isotopes,
-    make_groupoid,
     mask_of,
     set_field,
     two_step_middles,
@@ -64,7 +60,7 @@ from .core import (
 RECT_LIST_BOUND = 3       # full labeled listing
 RECT_COUNT_BOUND = 5      # labeled counting, by the row transfer
 RECT_ISO_BOUND = 4        # isomorphism classes
-RECT_ISOTOPY_BOUND = 3
+RECT_ISOTOPY_BOUND = 4    # isotopy classes
 ITER_BOUND = 5            # streaming generator
 CENTRAL_BOUND = 16
 ORBIT_BOUND = 10 ** 5     # largest relabeling group orbit absorption walks
@@ -84,9 +80,10 @@ class CensusResult(Value):
         set_field(self, "note", note)
 
 
-def _rect_flats(n: int, firsts):
-    """Yield every rectangular order-n table whose entry 0*0 is in firsts,
-    as a flat tuple, in lex order.
+def _rect_flats(n: int, triples=()):
+    """Yield the rectangular order-n tables as flat tuples, in lex order:
+    all of them, or with triples only the least table of each orbit under
+    the isotopes by the (alpha, beta, gamma) in triples.
 
     The cells are filled in row-major order.  rows[r] and cols[c] are the
     bitsets of the symbols placed so far in row r and column c; above is
@@ -97,36 +94,75 @@ def _rect_flats(n: int, firsts):
     in column c, and every earlier column holding y holds it in row r.  Two
     symbols in rows[r] & cols[c] leave no candidate, and one leaves only
     itself.  The candidates are taken low to high.
+
+    With triples the search is orderly (Read 1978): each time a row is
+    complete, every live move h(a, b) = gamma^-1(g(alpha(a), beta(b))),
+    the identity excepted, is compared with the table g row by row from
+    the first row not yet tied.  Row a of h is known once row alpha(a) of
+    g is, so the comparison stops at the first row a that either table
+    has not filled.  h and g differ in no earlier cell, so a first
+    differing row that is smaller in h holds for every completion: the
+    branch is cut.  A larger one holds too: the move is dropped for the
+    subtree.  A move that ties stays live and resumes at its first
+    untied row.  At the last cell every row is known, so a table that is
+    yielded is no greater than any of its images: the least of its orbit.
     """
     full, size = (1 << n) - 1, n * n
     rows, cols = [0] * n, [0] * n
     flat = [0] * size
+    ident = tuple(range(n))
+    # a move: (first untied row, alpha, per row a the cells g(alpha(a), beta(b)), gamma^-1)
+    moves = [(0, alpha, [[alpha[a] * n + beta[b] for b in range(n)] for a in range(n)],
+              sorted(range(n), key=gamma.__getitem__))
+             for alpha, beta, gamma in triples if not alpha == beta == gamma == ident]
 
-    def fill(k, above, left):
+    def still_live(live, r):
+        """The moves left live once row r is filled, or None where one of
+        them maps the table below itself."""
+        kept = []
+        for move in live:
+            a, alpha, source, gamma_inv = move
+            while a <= r and alpha[a] <= r:
+                image = [gamma_inv[flat[k]] for k in source[a]]
+                row = flat[a * n:a * n + n]
+                if image != row:
+                    if image < row:
+                        return None
+                    break
+                a += 1
+            else:
+                kept.append(move if a == move[0] else (a, alpha, source, gamma_inv))
+        return kept
+
+    def fill(k, above, left, live):
         r, c = divmod(k, n)
         row, col = rows[r], cols[c]
         both = row & col
         if both & (both - 1):
             return
         fits = (both or full) & ~(above & ~col) & ~(left & ~row)
-        for y in bits_of(fits if k else fits & mask_of(firsts)):
+        for y in bits_of(fits):
             rows[r], cols[c] = row | 1 << y, col | 1 << y
             flat[k] = y
+            if c + 1 < n:
+                yield from fill(k + 1, above, left | cols[c], live)
+                continue
+            after = still_live(live, r) if live else live
+            if after is None:
+                continue
             if k + 1 == size:
                 yield tuple(flat)
-            elif c + 1 == n:
-                yield from fill(k + 1, above | rows[r], 0)
             else:
-                yield from fill(k + 1, above, left | cols[c])
+                yield from fill(k + 1, above | rows[r], 0, after)
         rows[r], cols[c] = row, col
 
-    yield from fill(0, 0, 0)
+    yield from fill(0, 0, 0, moves)
 
 
 def iter_rectangular_tables(n: int):
     """Stream every rectangular groupoid of order n in lex table order."""
     check_order(n, bound=ITER_BOUND, limit="streaming is")
-    return (make_groupoid(n, flat) for flat in _rect_flats(n, range(n)))
+    return (_kernel_groupoid(n, flat) for flat in _rect_flats(n))
 
 
 def _orbit_firsts(items: list, images) -> list:
@@ -205,13 +241,12 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     ``count_rectangular`` up to order 5.
     mode "isomorphism": the least labeled table of each isomorphism class,
     order <= 4.
-    mode "isotopy": the least table of each isotopy class, order <= 3.
+    mode "isotopy": the least table of each isotopy class, order <= 4.
 
-    The class modes absorb the orbits of the isotope kernel over the sorted
-    tables of the shards that hold the least tables, as the module
-    docstring says: isotopy over the 0*0 = 0 shard, isomorphism over it and
-    then over the idempotent-free tables with 0*0 = 1, the 0 <-> 1 symbol
-    swap of the first shard.  jobs is checked but has no effect.
+    The class modes run the orderly search, ``_rect_flats`` with the n!
+    relabelings (alpha = beta = gamma) or all n!^3 isotopy triples: it
+    reaches only the least table of each orbit, in lex order, so nothing
+    is deduplicated afterwards.  jobs is checked but has no effect.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -226,21 +261,12 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
         if n > RECT_LIST_BOUND:
             return CensusResult(n, mode, count_rectangular(n)[1], None,
                                 note=f"listing is bounded at order {RECT_LIST_BOUND}")
-        tables = tuple(make_groupoid(n, f) for f in _rect_flats(n, range(n)))
-        return CensusResult(n, mode, len(tables), tables)
-
-    perms = list(permutations(range(n)))
-    zero = list(_rect_flats(n, (0,)))
-    if mode == "isotopy":
-        firsts = _orbit_firsts(zero, flat_isotopes(n, list(product(perms, repeat=3))))
+        triples = ()
     else:
-        images = flat_isotopes(n, [(s, s, s) for s in perms])
-        swap = (1, 0, *range(2, n)) if n > 1 else (0,)
-        # the swap of t is idempotent at a exactly where t[a][a] = swap[a]
-        free = sorted(tuple([swap[y] for y in t]) for t in zero
-                      if all(t[a * (n + 1)] != swap[a] for a in range(n)))
-        firsts = _orbit_firsts(zero, images) + _orbit_firsts(free, images)
-    tables = tuple(make_groupoid(n, f) for f in firsts)
+        perms = list(permutations(range(n)))
+        triples = ([(s, s, s) for s in perms] if mode == "isomorphism"
+                   else list(product(perms, repeat=3)))
+    tables = tuple(_kernel_groupoid(n, f) for f in _rect_flats(n, triples))
     return CensusResult(n, mode, len(tables), tables)
 
 

@@ -321,8 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--up-to", dest="up_to", choices=("labeled", "iso", "isotopy"),
                         help="iso by default; band-blowups takes labeled only.  "
                              "Rectangular: labeled tables are listed to order 3 and "
-                             "counted to order 5, iso classes go to order 4, isotopy "
-                             "classes to order 3")
+                             "counted to order 5, iso and isotopy classes go to "
+                             "order 4")
     p_enum.add_argument("--long-run", dest="long_run", action="store_true",
                         help="allow the order-16 central census (--class central only)")
     p_enum.add_argument("--emit", default="count",

@@ -417,6 +417,16 @@ def make_groupoid(order: int, entries: Iterable[int]) -> Groupoid:
     return Groupoid(order, rows)
 
 
+def _kernel_groupoid(order: int, flat: tuple[int, ...]) -> Groupoid:
+    """The Groupoid of a row-major flat table that a kernel built, such as
+    a census search: no checks, so only for tables known to be order x
+    order over 0..order-1."""
+    g = object.__new__(Groupoid)
+    set_field(g, "order", order)
+    set_field(g, "table", tuple([flat[i:i + order] for i in range(0, order * order, order)]))
+    return g
+
+
 class GraphPair(Value):
     """Two edge relations (red, green) on the node set ``0..n-1``.
 

@@ -180,15 +180,24 @@ def render_matrix_pair(a: BoolMatrix, b: BoolMatrix) -> str:
 
 
 def census_json(result, kind: str) -> str:
-    """The JSON of a census.CensusResult; band blow-ups give order (n, m)."""
+    """The JSON of a census.CensusResult; band blow-ups give order (n, m).
+
+    The text is ``json.dumps(payload, indent=2)``'s: json formats the
+    header, and the tables, one entry per line, are written here, several
+    times faster than json's pure-Python indenting encoder writes them.
+    """
     import json  # only a census emits JSON; other commands skip its import
 
-    payload = {
+    tables = result.tables
+    text = json.dumps({
         "order": result.order,
         "class": kind,
         "mode": result.mode,
         "count": result.count,
-        "tables": None if result.tables is None
-        else [list(g.flat()) for g in result.tables],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+        "tables": None if tables is None else [],
+    }, indent=2)
+    if tables:
+        entries = ",\n".join(["    [\n      " + ",\n      ".join(map(str, g.flat())) + "\n    ]"
+                              for g in tables])
+        text = text.removesuffix("[]\n}") + f"[\n{entries}\n  ]\n}}"
+    return text + "\n"

@@ -480,16 +480,16 @@ def symmetric_group_3():
 
 def rect_census_by_full_absorption(n: int, mode: str) -> list[tuple[int, ...]]:
     """The least flat table of each isomorphism or isotopy class of
-    rectangular order-n tables, sorted, as the census first found them:
-    the 0*0 = 0 shard renamed by the symbol swap 0 <-> v for every v, all
-    n shards sorted together, and every orbit absorbed over the whole list
-    by bisection."""
+    rectangular order-n tables, sorted, by absorbing orbits over every
+    labeled table: the tables with 0*0 = 0, renamed by the symbol swap
+    0 <-> v for every v, all n shards sorted together, and every orbit
+    absorbed over the whole list by bisection."""
     from bisect import bisect_left
 
     from rectangular.census import _rect_flats
     from rectangular.core import flat_isotopes
 
-    flats = list(_rect_flats(n, (0,)))
+    flats = [f for f in _rect_flats(n) if f[0] == 0]
     base = len(flats)
     for v in range(1, n):
         swap = [v if y == 0 else 0 if y == v else y for y in range(n)]

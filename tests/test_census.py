@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice, permutations, product
 from math import comb, factorial, isqrt
 
 import pytest
@@ -52,6 +52,20 @@ CENTRAL_9_LABELED = 15840  # loops-first solutions over all 28 first rows
 @lru_cache(maxsize=None)
 def _iso_reps(n):
     return enumerate_rectangular(n, "isomorphism").tables
+
+
+@lru_cache(maxsize=None)
+def _isotopy_reps(n):
+    return enumerate_rectangular(n, "isotopy").tables
+
+
+_REPS = {"isomorphism": _iso_reps, "isotopy": _isotopy_reps}
+
+
+def _triples(n, mode):
+    """The relabelings (alpha = beta = gamma) or every isotopy triple."""
+    perms = list(permutations(range(n)))
+    return [(s, s, s) for s in perms] if mode == "isomorphism" else list(product(perms, repeat=3))
 
 
 @lru_cache(maxsize=None)
@@ -120,13 +134,39 @@ class TestRectangular:
             assert enumerate_rectangular(n, "isotopy").tables == \
                 oracles.isotopy_reps_by_merging(_iso_reps(n))
 
-    def test_shard_absorption_matches_the_absorption_over_every_shard(self):
+    def test_orderly_search_matches_the_absorption_over_every_shard(self):
         for n in range(1, 5):
             assert [g.flat() for g in _iso_reps(n)] == \
                 oracles.rect_census_by_full_absorption(n, "isomorphism")
-        for n in range(1, 4):
-            assert [g.flat() for g in enumerate_rectangular(n, "isotopy").tables] == \
+            assert [g.flat() for g in _isotopy_reps(n)] == \
                 oracles.rect_census_by_full_absorption(n, "isotopy")
+
+    @pytest.mark.parametrize("mode", ["isomorphism", "isotopy"])
+    def test_each_rep_is_the_literal_least_of_its_orbit(self, mode):
+        # every image of the rep by the whole group, the identity among
+        # them, is computed; none may be smaller
+        for n in range(1, 5):
+            images = flat_isotopes(n, _triples(n, mode))
+            for g in _REPS[mode](n):
+                assert min(images(g.flat())) == g.flat()
+
+    @pytest.mark.parametrize("mode", ["isomorphism", "isotopy"])
+    def test_the_reps_orbits_partition_the_labeled_tables(self, mode):
+        # disjoint orbits that cover every labeled table: each table lies
+        # in the orbit of exactly one rep
+        for n in range(1, 4):
+            images = flat_isotopes(n, _triples(n, mode))
+            orbits = [set(images(g.flat())) for g in _REPS[mode](n)]
+            labeled = {g.flat() for g in enumerate_rectangular(n, "labeled").tables}
+            assert set().union(*orbits) == labeled
+            assert sum(map(len, orbits)) == len(labeled)
+
+    def test_kernel_built_tables_equal_the_checked_constructor(self):
+        tables = [g for n in range(1, 4) for g in iter_rectangular_tables(n)]
+        tables += enumerate_rectangular(3, "labeled").tables + _iso_reps(4)
+        for g in tables:
+            checked = make_groupoid(g.order, g.flat())
+            assert (g, hash(g), repr(g)) == (checked, hash(checked), repr(checked))
 
     def test_least_tables_lie_in_the_first_two_shards(self):
         # a class with an idempotent starts 0*0 = 0, an idempotent-free one 0*0 = 1
@@ -157,7 +197,7 @@ class TestRectangular:
         with pytest.raises(CapacityError):
             enumerate_rectangular(6, "labeled")
         with pytest.raises(CapacityError):
-            enumerate_rectangular(4, "isotopy")
+            enumerate_rectangular(5, "isotopy")
         with pytest.raises(ValueError, match="unknown mode"):
             enumerate_rectangular(2, "upto-nothing")
 
@@ -175,10 +215,11 @@ class TestRectangular:
             streamed = [g.flat() for g in iter_rectangular_tables(n)]
             assert all(a < b for a, b in zip(streamed, streamed[1:]))
             assert streamed == [g.flat() for g in enumerate_rectangular(n, "labeled").tables]
-        # the first-cell shards, joined, are the unsharded stream
-        shards = [f for v in range(4) for f in census._rect_flats(4, (v,))]
-        assert len(shards) == ORDER_4_LABELED
-        assert shards == [g.flat() for g in iter_rectangular_tables(4)]
+        # the search's order-4 stream, a quarter of it in each 0*0 shard
+        flats = list(census._rect_flats(4))
+        assert len(flats) == ORDER_4_LABELED
+        assert Counter(f[0] for f in flats) == {v: ORDER_4_LABELED // 4 for v in range(4)}
+        assert flats == [g.flat() for g in iter_rectangular_tables(4)]
         with pytest.raises(CapacityError):
             next(iter_rectangular_tables(6))
         # the arguments are checked at the call, not at the first next()
@@ -188,30 +229,34 @@ class TestRectangular:
             iter_rectangular_tables(0)
 
     def test_symbol_swap_maps_the_first_shard_onto_each_other(self):
-        # the census searches 0*0 = 0 only and renames symbols 0 <-> v
+        # the oracle's absorption lists the tables with 0*0 = 0 and
+        # renames symbols 0 <-> v to reach those with 0*0 = v
         for n in range(1, 5):
-            first = list(census._rect_flats(n, (0,)))
+            flats = list(census._rect_flats(n))
+            first = [f for f in flats if f[0] == 0]
             for v in range(n):
                 swap = {0: v, v: 0}
                 assert sorted(tuple(swap.get(y, y) for y in f) for f in first) \
-                    == list(census._rect_flats(n, (v,)))
+                    == [f for f in flats if f[0] == v]
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_search_equals_the_placement_engine(self, n):
         # the census search against the former engine, which checks each
         # cell against every symbol's row and column masks
-        for firsts in [(v,) for v in range(n)] + [range(n)]:
-            assert list(census._rect_flats(n, firsts)) == \
-                list(oracles.rect_flats_by_placement(n, firsts))
+        flats = list(census._rect_flats(n))
+        assert flats == list(oracles.rect_flats_by_placement(n, range(n)))
+        for v in range(n):
+            assert [f for f in flats if f[0] == v] == \
+                list(oracles.rect_flats_by_placement(n, (v,)))
 
     def test_order_five_search_starts_as_the_placement_engine(self):
         count = 20_000
-        assert list(islice(census._rect_flats(5, range(5)), count)) == \
+        assert list(islice(census._rect_flats(5), count)) == \
             list(islice(oracles.rect_flats_by_placement(5, range(5)), count))
 
     @pytest.mark.parametrize("n", range(1, 4))
     def test_search_equals_the_brute_force_filter(self, n):
-        assert list(census._rect_flats(n, range(n))) == [
+        assert list(census._rect_flats(n)) == [
             g.flat() for g in oracles.all_tables(n) if oracles.quasi_rectangular(g)]
 
 
@@ -445,7 +490,7 @@ class TestCountRectangular:
         # U(n, k) times n!/(n-k)! is the number of listed tables with k symbols
         for n in range(1, 5):
             u, labeled = census.count_rectangular(n)
-            by_symbols = Counter(len(set(f)) for f in census._rect_flats(n, range(n)))
+            by_symbols = Counter(len(set(f)) for f in census._rect_flats(n))
             assert labeled == sum(by_symbols.values())
             assert [u[k - 1] * oracles.falling(n, k) for k in range(1, n + 1)] == \
                 [by_symbols[k] for k in range(1, n + 1)]

@@ -654,6 +654,7 @@ CENSUS_JSON_SHA256 = {
     ("rectangular", "isotopy", 1): "87664878614e68b16ed5b76a49f81e29a920b70d343e4e41801b89b160507164",
     ("rectangular", "isotopy", 2): "7ded2dfe39409fa769e08e3639f10993170b8c12332de723764d4eaa90203fdd",
     ("rectangular", "isotopy", 3): "47d438b334696cbde9da62455bfc53931195670ae7e3190dbafcda26b8ae08b0",
+    ("rectangular", "isotopy", 4): "a73a2d3e41c6b97e7e27d305e55df25297310008f070f8e30bd2e94dd36a857a",
     ("central", "iso", 1): "cc80fe4f6435e92fb9497cf044a58cf121ba565769f3690cb6b8a600c899819d",
     ("central", "iso", 4): "7adbae69032638daced0c795fd06d6fb304f0bf9c051c6c23953ed260a7a14dd",
     ("central", "iso", 9): "6c4bc6385a4434f65175ce67e9bf815cee4f3d711d8243aa5cc85e4a70a4eb88",
