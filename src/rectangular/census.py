@@ -8,14 +8,14 @@ takes the ones that fit the next cell.  Permuting rows, columns and symbols
 independently maps rectangles to rectangles, so the rectangular tables of
 an order are closed under isotopy as well as relabeling.  The class
 censuses make the fill orderly (Read, "Every one a winner", 1978): when a
-row is complete, each isotope of the table by the group's moves, in the
-convention of ``core.flat_isotopes``, is compared with it over the rows
-both have filled.  One already smaller cuts the branch and one already
-larger is dropped, so a complete table that survives is no greater than
-any isotope of it: the search reaches each class once, at its least
-table, and deduplicates nothing afterwards.  The labeled count lists
-nothing: ``count_rectangular`` is a transfer over rows, each row a set
-partition of the columns.  The band blow-ups run no search either: they
+row is complete, ``_still_live`` compares each isotope of the table by
+the group's moves, in the convention of ``core.flat_isotopes``, with it
+over the rows both have filled.  One already smaller cuts the branch and
+one already larger is dropped, so a complete table that survives is no
+greater than any isotope of it: the search reaches each class once, at
+its least table, and deduplicates nothing afterwards.  The labeled count
+lists nothing: ``count_rectangular`` is a transfer over rows, each row a
+set partition of the columns.  The band blow-ups run no search either: they
 are counted in closed form, a sum over the periodic points of the corner
 maps, up to band order 10 000.
 
@@ -27,16 +27,14 @@ so one blocked mask per row, the columns already covered in the lines the
 row joins, stands for every tiling it takes part in; its own line's rows
 must be pairwise disjoint, and a line with one row left forces that row.
 No edge of a central matrix joins two loops, so its first rows are the
-loop at 0 plus m - 1 non-loops: one orbit under Sym(m..n-1), whose least
-row alone is searched.  The relabelings that keep the loops first,
-Sym(0..m-1) x Sym(m..n-1), then act on the solutions, and the isomorphism
-classes are their orbits, found by orbit absorption (``_orbit_firsts``,
-after McKay, "Isomorph-free exhaustive generation", 1998): the solutions'
-tables are sorted, and each one that no earlier orbit has claimed starts a
-new class, whose every image by ``core.flat_isotopes`` (alpha = beta =
-gamma, since relabeling a matrix by p relabels its groupoid by p) is
-looked up in the sorted list and marked.  There is no worker pool
-(``jobs`` is checked but has no effect).
+loop at 0 plus m - 1 non-loops: one orbit under Sym(m..n-1), of which one
+row alone is searched.  The isomorphism classes are the orbits of the
+relabelings that keep the loops first, Sym(0..m-1) x Sym(m..n-1), and the
+search is orderly by the same kernel: relabeling the complement J - B,
+flat and 0/1, by p is the move alpha = beta = p, gamma the identity, so
+after each row ``_still_live`` cuts every branch that some relabeling
+already makes smaller, and one solution per class survives.  There is no
+worker pool (``jobs`` is checked but has no effect).
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from .core import (
     _kernel_groupoid,
     bits_of,
     check_order,
-    flat_isotopes,
     mask_of,
     set_field,
     two_step_middles,
@@ -63,7 +60,7 @@ RECT_ISO_BOUND = 4        # isomorphism classes
 RECT_ISOTOPY_BOUND = 4    # isotopy classes
 ITER_BOUND = 5            # streaming generator
 CENTRAL_BOUND = 16
-ORBIT_BOUND = 10 ** 5     # largest relabeling group orbit absorption walks
+ORBIT_BOUND = 10 ** 5     # largest move list of the orderly central search
 BLOW_UP_BOUND = 10 ** 4   # band order n*m of the blow-up count
 
 
@@ -80,6 +77,46 @@ class CensusResult(Value):
         set_field(self, "note", note)
 
 
+def _moves(n: int, triples) -> list:
+    """The orderly search's moves on flat order-n tables: per (alpha, beta,
+    gamma) in triples other than the identity, its first untied row, alpha,
+    per row a the cells g(alpha(a), beta(b)) of image row a, and gamma^-1."""
+    ident = tuple(range(n))
+    return [(0, alpha, [[x * n + y for y in beta] for x in alpha],
+             sorted(range(n), key=gamma.__getitem__))
+            for alpha, beta, gamma in triples if not alpha == beta == gamma == ident]
+
+
+def _still_live(flat: list[int], n: int, live: list, r: int) -> list | None:
+    """The moves of live left live once row r of the flat order-n table g
+    is filled, or None where one of them maps g below itself.
+
+    A move h(a, b) = gamma^-1(g(alpha(a), beta(b))) is compared with g row
+    by row, as lists, from its first untied row.  Row a of h is known once
+    row alpha(a) of g is, so the comparison stops at the first row a that
+    either table has not filled.  h and g differ in no earlier cell, so a
+    first differing row that is smaller in h holds for every completion:
+    the branch is cut.  A larger one holds too: the move is dropped for the
+    subtree.  A move that ties stays live and resumes at its first untied
+    row.  So a table that passes its last row is no greater than any of
+    its images: the least of its orbit (Read 1978).
+    """
+    kept = []
+    for move in live:
+        a, alpha, source, gamma_inv = move
+        while a <= r and alpha[a] <= r:
+            image = [gamma_inv[flat[k]] for k in source[a]]
+            row = flat[a * n:a * n + n]
+            if image != row:
+                if image < row:
+                    return None
+                break
+            a += 1
+        else:
+            kept.append(move if a == move[0] else (a, alpha, source, gamma_inv))
+    return kept
+
+
 def _rect_flats(n: int, triples=()):
     """Yield the rectangular order-n tables as flat tuples, in lex order:
     all of them, or with triples only the least table of each orbit under
@@ -93,46 +130,13 @@ def _rect_flats(n: int, triples=()):
     c (its rectangle claims the cell), every earlier row holding y holds it
     in column c, and every earlier column holding y holds it in row r.  Two
     symbols in rows[r] & cols[c] leave no candidate, and one leaves only
-    itself.  The candidates are taken low to high.
-
-    With triples the search is orderly (Read 1978): each time a row is
-    complete, every live move h(a, b) = gamma^-1(g(alpha(a), beta(b))),
-    the identity excepted, is compared with the table g row by row from
-    the first row not yet tied.  Row a of h is known once row alpha(a) of
-    g is, so the comparison stops at the first row a that either table
-    has not filled.  h and g differ in no earlier cell, so a first
-    differing row that is smaller in h holds for every completion: the
-    branch is cut.  A larger one holds too: the move is dropped for the
-    subtree.  A move that ties stays live and resumes at its first
-    untied row.  At the last cell every row is known, so a table that is
-    yielded is no greater than any of its images: the least of its orbit.
+    itself.  The candidates are taken low to high.  With triples the search
+    is orderly: each time a row is complete, ``_still_live`` checks the
+    live moves and cuts the branch where one is already smaller.
     """
     full, size = (1 << n) - 1, n * n
     rows, cols = [0] * n, [0] * n
     flat = [0] * size
-    ident = tuple(range(n))
-    # a move: (first untied row, alpha, per row a the cells g(alpha(a), beta(b)), gamma^-1)
-    moves = [(0, alpha, [[alpha[a] * n + beta[b] for b in range(n)] for a in range(n)],
-              sorted(range(n), key=gamma.__getitem__))
-             for alpha, beta, gamma in triples if not alpha == beta == gamma == ident]
-
-    def still_live(live, r):
-        """The moves left live once row r is filled, or None where one of
-        them maps the table below itself."""
-        kept = []
-        for move in live:
-            a, alpha, source, gamma_inv = move
-            while a <= r and alpha[a] <= r:
-                image = [gamma_inv[flat[k]] for k in source[a]]
-                row = flat[a * n:a * n + n]
-                if image != row:
-                    if image < row:
-                        return None
-                    break
-                a += 1
-            else:
-                kept.append(move if a == move[0] else (a, alpha, source, gamma_inv))
-        return kept
 
     def fill(k, above, left, live):
         r, c = divmod(k, n)
@@ -147,7 +151,7 @@ def _rect_flats(n: int, triples=()):
             if c + 1 < n:
                 yield from fill(k + 1, above, left | cols[c], live)
                 continue
-            after = still_live(live, r) if live else live
+            after = _still_live(flat, n, live, r) if live else live
             if after is None:
                 continue
             if k + 1 == size:
@@ -156,36 +160,13 @@ def _rect_flats(n: int, triples=()):
                 yield from fill(k + 1, above | rows[r], 0, after)
         rows[r], cols[c] = row, col
 
-    yield from fill(0, 0, 0, moves)
+    yield from fill(0, 0, 0, _moves(n, triples))
 
 
 def iter_rectangular_tables(n: int):
     """Stream every rectangular groupoid of order n in lex table order."""
     check_order(n, bound=ITER_BOUND, limit="streaming is")
     return (_kernel_groupoid(n, flat) for flat in _rect_flats(n))
-
-
-def _orbit_firsts(items: list, images) -> list:
-    """The first member of each orbit met in a walk over the sorted list
-    items; images(item) yields the item's whole orbit.
-
-    Each time the walk meets an item no earlier orbit has claimed, every
-    image of it is looked up in an index of items and marked, so the
-    images are computed once per orbit, not once per item.  Images missing
-    from items are ignored.
-    """
-    index = {item: i for i, item in enumerate(items)}
-    seen = bytearray(len(items))
-    firsts = []
-    for i, item in enumerate(items):
-        if seen[i]:
-            continue
-        firsts.append(item)
-        for image in images(item):
-            j = index.get(image)
-            if j is not None:
-                seen[j] = 1
-    return firsts
 
 
 def _column_partitions(n: int) -> list[tuple[int, ...]]:
@@ -290,9 +271,11 @@ def _row_candidates(m: int) -> list[list[int]]:
     return cand
 
 
-def _central_solutions(m: int, first_row: int) -> list[tuple[int, ...]]:
+def _central_solutions(m: int, first_row: int, relabelings=()) -> list[tuple[int, ...]]:
     """All BB = J matrices with loops at rows 0..m-1 and row 0 first_row,
-    as bitset row tuples in lex order.
+    as bitset row tuples in lex order; with relabelings, permutations of
+    the n indices, only those whose complement J - B none of them maps
+    below itself.
 
     Rows are set in index order, so the unset rows are those after the
     current one.  Line i is the set of rows that row i indexes; each row has
@@ -301,12 +284,16 @@ def _central_solutions(m: int, first_row: int) -> list[tuple[int, ...]]:
     for row t must miss the blocked mask, the OR of the unions of the lines
     that row t joins, and the rows of its own line must be pairwise
     disjoint.  A line left with one unset row forces that row to the
-    columns its union misses.
+    columns its union misses.  flat is the complement J - B as row-major
+    0/1 entries; relabeling it by p is the move alpha = beta = p, gamma the
+    identity (which keeps every entry), checked by ``_still_live`` once
+    each row is set.
     """
     n = m * m
     full = (1 << n) - 1
     cand = _row_candidates(m)
     rows = [0] * n
+    flat = [0] * (n * n)
     union = [0] * n
     forced: dict[int, int] = {}
     out: list[tuple[int, ...]] = []
@@ -320,7 +307,7 @@ def _central_solutions(m: int, first_row: int) -> list[tuple[int, ...]]:
         trail.append(k)
         return True
 
-    def assign(t: int) -> None:
+    def assign(t: int, live: list) -> None:
         if t == n:
             out.append(tuple(rows))
             return
@@ -352,14 +339,18 @@ def _central_solutions(m: int, first_row: int) -> list[tuple[int, ...]]:
                             rest.bit_length() - 1, full ^ union[i], trail):
                         break
                 else:
-                    assign(t + 1)
+                    flat[t * n:t * n + n] = [~mask >> j & 1 for j in range(n)]
+                    after = _still_live(flat, n, live, t) if live else live
+                    if after is not None:
+                        assign(t + 1, after)
                 for k in trail:
                     del forced[k]
                 for i in joined:
                     union[i] ^= mask
 
     if force(0, first_row, []):  # the first row is checked like a forced one
-        assign(0)
+        ident = tuple(range(n))
+        assign(0, _moves(n, [(p, p, ident) for p in relabelings]))
     return out
 
 
@@ -369,11 +360,10 @@ def _loops_first_min(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
 
     Any isomorphism between two loops-first solutions maps loops to loops, so
     equal minima characterise isomorphic solutions exactly.  The census calls
-    it once per class, on the first member of each orbit, and on every
-    solution only where an orbit is too large to absorb.  Cells are compared
-    in growing-corner order, layer d being (i, d) for i < d, then (d, j) for
-    j <= d, so a partial relabeling fixes a prefix of the cell sequence and
-    a branch is cut once its prefix exceeds the best sequence's.
+    it on every solution the search returns.  Cells are compared in
+    growing-corner order, layer d being (i, d) for i < d, then (d, j) for j
+    <= d, so a partial relabeling fixes a prefix of the cell sequence and a
+    branch is cut once its prefix exceeds the best sequence's.
     """
     n = m * m
     best: list[int] = []
@@ -421,8 +411,17 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     Order 16 is far beyond desk scale and must be requested with long_run.
 
     Row 0 is its loop plus m - 1 non-loops (``_row_candidates``), and
-    Sym(m..n-1) moves any such row to the least one, so the search runs
-    that row alone.  jobs is checked but has no effect.
+    Sym(m..n-1) moves any such row to any other, so the search runs one
+    row alone: the least, whose non-loops m..2m-2 come first, so the lines
+    it joins fill and force rows soonest.  The orderly search compares the
+    complement J - B as 0/1 rows, where this row is the least too, so the
+    least solution of each class, the one that survives, starts with it.
+    (On B the least row would be the last candidate, from which the
+    search forces late and makes many times the calls.)  Where the
+    loops-first relabelings exceed ``ORBIT_BOUND`` (order 16: no move
+    list fits Sym(4) x Sym(12)) the search is not orderly and returns
+    every solution.  Either way ``_loops_first_min`` of each solution
+    gives its class's representative.  jobs is checked but has no effect.
     """
     check_order(n)
     if jobs < 1:
@@ -435,13 +434,11 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     if n == 16 and not long_run:
         raise CapacityError("order 16 is far beyond desk scale; pass long_run or --long-run")
 
-    solutions = _central_solutions(m, _row_candidates(m)[0][0])
+    relabelings = ()
     if factorial(m) * factorial(n - m) <= ORBIT_BOUND:
-        rows_of = {_central_table(rows).flat(): rows for rows in solutions}
-        loops_first = [(p, p, p) for p in (lo + hi for lo in permutations(range(m))
-                                           for hi in permutations(range(m, n)))]
-        solutions = [rows_of[flat] for flat in
-                     _orbit_firsts(sorted(rows_of), flat_isotopes(n, loops_first))]
+        relabelings = [lo + hi for lo in permutations(range(m))
+                       for hi in permutations(range(m, n))]
+    solutions = _central_solutions(m, _row_candidates(m)[0][0], relabelings)
     reps = {_loops_first_min(rows, m) for rows in solutions}
     tables = sorted(map(_central_table, reps), key=Groupoid.flat)
     return CensusResult(n, "isomorphism", len(tables), tuple(tables))

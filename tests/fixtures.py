@@ -1,6 +1,6 @@
 """Small named example structures used throughout the tests and docs."""
 
-from .core import PartialArray, make_groupoid
+from rectangular.core import PartialArray, make_groupoid
 
 # Constant order-4 table: the one-distribution-center pattern.
 C4 = make_groupoid(4, [0] * 16)

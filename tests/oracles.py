@@ -21,6 +21,7 @@ from rectangular.core import (
     GraphPair,
     Groupoid,
     PartialArray,
+    flat_isotopes,
     line_symbol_sets,
     transpose_bits,
 )
@@ -292,6 +293,22 @@ def automorphism_count_by_idempotents(g: Groupoid) -> int:
     return count
 
 
+def flat_matrix(rows) -> tuple[int, ...]:
+    """A 0/1 matrix of bitset rows as its row-major tuple of entries."""
+    n = len(rows)
+    return tuple(rows[i] >> j & 1 for i in range(n) for j in range(n))
+
+
+def loops_first_orbit(rows, m: int) -> set[tuple[int, ...]]:
+    """Every relabeling of an order-m*m matrix by a permutation that keeps
+    0..m-1 first, as flat 0/1 tuples: its images by the isotope kernel with
+    alpha = beta = p and gamma the identity."""
+    n = m * m
+    ident = tuple(range(n))
+    perms = [lo + hi for lo in permutations(range(m)) for hi in permutations(range(m, n))]
+    return set(flat_isotopes(n, [(p, p, ident) for p in perms])(flat_matrix(rows)))
+
+
 def isotopy_reps_by_merging(iso_reps) -> tuple[Groupoid, ...]:
     """The least member of each isotopy class, by merging the isomorphism
     class representatives pairwise with are_isotopic, the slow path that
@@ -487,7 +504,6 @@ def rect_census_by_full_absorption(n: int, mode: str) -> list[tuple[int, ...]]:
     from bisect import bisect_left
 
     from rectangular.census import _rect_flats
-    from rectangular.core import flat_isotopes
 
     flats = [f for f in _rect_flats(n) if f[0] == 0]
     base = len(flats)

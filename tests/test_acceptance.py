@@ -14,7 +14,6 @@ criterion is meant to pass, so any failure here is a regression.
 import random
 from itertools import product
 
-from rectangular import fixtures as fx
 from rectangular.census import (
     enumerate_band_blow_ups,
     enumerate_central,
@@ -67,6 +66,7 @@ from rectangular.transform import (
     square_lift,
 )
 
+import fixtures as fx
 import oracles
 
 

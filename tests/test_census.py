@@ -269,13 +269,6 @@ def test_canonical_form_of_any_relabeling_is_the_rep(seed):
         assert canonical_form(relabel(rep, sigma)) == rep
 
 
-def test_orbit_firsts_skips_claimed_items_and_missing_images():
-    # orbits of x -> x + 3 (mod 12); 7 is claimed by 4, 10 is not in items
-    rotations = lambda x: ((x + k) % 12 for k in range(0, 12, 3))
-    assert census._orbit_firsts(list(range(12)), rotations) == [0, 1, 2]
-    assert census._orbit_firsts([0, 4, 5, 7, 9], rotations) == [0, 4, 5]
-
-
 class TestCentral:
     def test_order_one(self):
         r = enumerate_central(1)
@@ -388,16 +381,14 @@ class TestCentral:
         solutions = census._central_solutions(m, first[0])
         assert len(first) == 15
         assert len(first) * len(solutions) == CENTRAL_9_LABELED
-        # one first member per class: each absorbed orbit holds all its
-        # solutions' tables, relabeled by the isotope kernel
-        loops_first = [(p, p, p) for p in (lo + hi for lo in permutations(range(m))
-                                           for hi in permutations(range(m, n)))]
-        flats = sorted(census._central_table(rows).flat() for rows in solutions)
-        assert len(census._orbit_firsts(flats, flat_isotopes(n, loops_first))) == len(reps)
         # another row of the orbit: the highest non-loops
         other = 1 | mask_of(range(n - (m - 1), n))
         assert other == first[-1]
         assert len(census._central_solutions(m, other)) == len(solutions)
+        # the orderly search keeps one solution per class
+        loops_first = [lo + hi for lo in permutations(range(m))
+                       for hi in permutations(range(m, n))]
+        assert len(census._central_solutions(m, first[0], loops_first)) == len(reps)
 
     def test_orbit_absorption_matches_every_first_row(self):
         # every C(n-1, m-1) first row, those with a second loop included
@@ -434,10 +425,33 @@ class TestCentral:
             for rows in sample:
                 assert census._loops_first_min(rows, m) == least(rows, m)
 
-    def test_orbits_too_large_to_absorb_are_canonicalized_one_by_one(self, monkeypatch):
-        absorbed = [enumerate_central(n) for n in (4, 9)]
+    def test_groups_too_large_for_a_move_list_are_canonicalized_per_solution(
+            self, monkeypatch):
+        orderly = [enumerate_central(n) for n in (4, 9)]
         monkeypatch.setattr(census, "ORBIT_BOUND", 0)
-        assert [enumerate_central(n) for n in (4, 9)] == absorbed
+        assert [enumerate_central(n) for n in (4, 9)] == orderly
+
+    def test_each_solution_lies_in_the_orbit_of_exactly_one_survivor(self, monkeypatch):
+        # the survivors are what the census's own search returns; every
+        # solution of the unpruned search, from every first row (those with
+        # a second loop included), lies in the orbit of exactly one, and
+        # each survivor's complement J - B is the least of its orbit as a
+        # flat 0/1 tuple, so the survivor itself is the greatest
+        search = census._central_solutions
+        survivors = {}
+
+        def spy(m, *args):
+            survivors[m] = search(m, *args)
+            return survivors[m]
+        monkeypatch.setattr(census, "_central_solutions", spy)
+        for n in (4, 9):
+            m = isqrt(n)
+            assert enumerate_central(n).count == len(survivors[m])
+            orbits = [oracles.loops_first_orbit(rows, m) for rows in survivors[m]]
+            assert list(map(oracles.flat_matrix, survivors[m])) == list(map(max, orbits))
+            for rest in combinations(range(1, n), m - 1):
+                for rows in search(m, 1 | mask_of(rest)):
+                    assert sum(oracles.flat_matrix(rows) in orbit for orbit in orbits) == 1
 
     def test_idempotent_automorphism_oracle_agrees(self):
         for g in (*enumerate_central(4).tables, *_iso_reps(3)):
@@ -447,7 +461,7 @@ class TestCentral:
     def test_non_central_search_result_is_an_error(self, monkeypatch):
         # the identity matrix B has B*B = B, whose entry (0, 1) is 0, not 1
         monkeypatch.setattr(census, "_central_solutions",
-                            lambda m, first_row=None: [(1, 2, 4, 8)])
+                            lambda m, first_row, relabelings=(): [(1, 2, 4, 8)])
         with pytest.raises(RuntimeError, match=r"B\*B != J: witness \(0, 1, 0\)"):
             enumerate_central(4)
 

@@ -3,7 +3,6 @@ from itertools import combinations, product
 
 import pytest
 
-from rectangular import fixtures as fx
 from rectangular.core import (
     CONSTRUCT_BOUND,
     CapacityError,
@@ -44,6 +43,7 @@ from rectangular.properties import (
 )
 from rectangular.transform import graph_pair_to_groupoid, groupoid_to_graph_pair
 
+import fixtures as fx
 import oracles
 
 TRIVIAL = make_groupoid(1, [0])

@@ -24,10 +24,10 @@ from rectangular.core import (
     opposite,
     transpose,
 )
-from rectangular import fixtures as fx
 from rectangular.construct import evans_central, rectangular_band
 from rectangular.isotopy import relabel
 
+import fixtures as fx
 import oracles
 
 

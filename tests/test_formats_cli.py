@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectangular import census, fixtures as fx, properties
+from rectangular import census, properties
 from rectangular.cli import main
 from rectangular.construct import evans_central, rectangular_band
 from rectangular.core import BoolMatrix, GraphPair, PartialArray, make_groupoid
@@ -25,6 +25,7 @@ from rectangular.formats import (
 )
 from rectangular.transform import groupoid_to_graph_pair
 
+import fixtures as fx
 import oracles
 
 from test_transform import graph_pairs, tables

@@ -3,7 +3,6 @@ from itertools import permutations
 
 import pytest
 
-from rectangular import fixtures as fx
 from rectangular.core import (
     CapacityError,
     IsotopyTriple,
@@ -29,6 +28,7 @@ from rectangular.properties import (
     is_rectangular,
 )
 
+import fixtures as fx
 import oracles
 
 from test_construct import random_rectangular

@@ -3,7 +3,6 @@ from itertools import product
 
 import pytest
 
-from rectangular import fixtures as fx
 from rectangular.core import BoolMatrix, GraphPair, Partition, PartialArray, make_groupoid, opposite
 from rectangular.properties import (
     associativity_violation,
@@ -46,6 +45,7 @@ from rectangular.properties import (
 from rectangular.construct import evans_central, rectangular_band
 from rectangular.transform import groupoid_to_graph_pair
 
+import fixtures as fx
 import oracles
 
 FARMERS = GraphPair.from_edges(4, [(x, 0) for x in range(4)],

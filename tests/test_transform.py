@@ -4,7 +4,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectangular import fixtures as fx
 from rectangular.core import (
     BoolMatrix,
     GraphPair,
@@ -39,6 +38,7 @@ from rectangular.transform import (
     subalgebra,
 )
 
+import fixtures as fx
 import oracles
 
 TRIVIAL = make_groupoid(1, [0])
