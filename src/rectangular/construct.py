@@ -20,8 +20,8 @@ from .core import (
     Mapping,
     Partition,
     PartitionSystem,
-    _check_ints,
     bits_of,
+    check_elements,
     check_order,
     mask_of,
     opposite,
@@ -38,8 +38,7 @@ def _require_rectangular(g: Groupoid, what: str) -> None:
 def constant_groupoid(n: int, a: int) -> Groupoid:
     """Every product equals a."""
     check_order(n, bound=CONSTRUCT_BOUND)
-    if not 0 <= a < n:
-        raise ValueError(f"symbol {a} out of range 0..{n - 1}")
+    check_elements([a], n, "symbol")
     return Groupoid(n, tuple(tuple(a for _ in range(n)) for _ in range(n)))
 
 
@@ -64,9 +63,7 @@ def simple_blow_up(g: Groupoid, a: int) -> Groupoid:
     never occurs as a product.
     """
     n = g.order
-    _check_ints([a], "anchor")
-    if not 0 <= a < n:
-        raise ValueError(f"symbol {a} out of range 0..{n - 1}")
+    check_elements([a], n, "anchor")
     _require_rectangular(g, "simple_blow_up")
     table = [list(row) + [row[a]] for row in g.table]
     table.append(list(g.table[a]) + [g.table[a][a]])
@@ -81,9 +78,7 @@ def left_extension(g: Groupoid, a: int) -> Groupoid:
     and breaks rectangularity.
     """
     n = g.order
-    _check_ints([a], "anchor")
-    if not 0 <= a < n:
-        raise ValueError(f"symbol {a} out of range 0..{n - 1}")
+    check_elements([a], n, "anchor")
     if g.table[a][a] != a:
         raise ValueError(f"anchor {a} is not idempotent: {a}*{a} = {g.table[a][a]}")
     _require_rectangular(g, "left_extension")
@@ -220,14 +215,12 @@ def group_factorization_pair(gamma: FiniteGroup, h: set[int] | frozenset[int],
     Requires an exact factorization: |h| * |k| = |gamma| with all products
     h'*k' distinct.
     """
-    hs, ks = sorted(h), sorted(k)
     n = gamma.order
-    for name, members in (("h", hs), ("k", ks)):
+    for name, members in (("h", h), ("k", k)):
         if not members:
             raise ValueError(f"{name} must be nonempty")
-        _check_ints(members, name)
-        if members[0] < 0 or members[-1] >= n:
-            raise ValueError(f"{name} has elements outside 0..{n - 1}")
+        check_elements(members, n, name)
+    hs, ks = sorted(h), sorted(k)
     if len(hs) * len(ks) != n:
         raise ValueError(
             f"|h|*|k| = {len(hs)}*{len(ks)} != {n}; not an exact factorization"
@@ -266,9 +259,11 @@ def coset_construction(gamma: FiniteGroup, h_subgroup: set[int] | frozenset[int]
     subgroup; from a coset with transversal representative t0, the node
     t0*h points greenly at {t0*s*h : s in t}.
     """
+    n = gamma.order
+    check_elements(h_subgroup, n, "subgroup")
+    check_elements(t, n, "transversal")
     hs = sorted(h_subgroup)
     ts = sorted(t)
-    n = gamma.order
     if gamma.identity not in hs:
         raise ValueError("subgroup must contain the identity")
     for x, y in product(hs, hs):

@@ -10,7 +10,8 @@ package does not import ``dataclasses``, which with ``inspect`` and ``ast``
 costs a CLI launch about 10 ms.  All operations in the package are pure
 functions and safe to call concurrently.
 
-The kernels every layer shares live here too: the two-step path count
+The kernels every layer shares live here too: the two value checks,
+``check_order`` and ``check_elements``, the two-step path count
 (``two_step_middles``), the symbols of each line (``line_symbol_sets``), the
 identity evaluator (``identity_counterexample``, which holds a side over
 its last variable as ``bytes`` up to order 256, composing rows with
@@ -50,6 +51,15 @@ def check_order(value, name: str = "order", bound: int | None = None,
         raise ValueError(f"{name} must be positive, got {value}")
     if bound is not None and value > bound:
         raise CapacityError(f"{limit} bounded at order {bound}, got {value}")
+
+
+def check_elements(values, n: int, what: str) -> None:
+    """The one element check: every value must be an int in 0..n-1.  Run
+    it before sorting the values, so a string among ints is a ValueError."""
+    _check_ints(values, what)
+    for v in values:
+        if not 0 <= v < n:
+            raise ValueError(f"{what}: {v} is outside 0..{n - 1}")
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -450,9 +460,7 @@ class GraphPair(Value):
         green_rows = [0] * order
         for rows, edges in ((red_rows, red), (green_rows, green)):
             for a, b in edges:
-                _check_ints((a, b), "edge")
-                if not (0 <= a < order and 0 <= b < order):
-                    raise ValueError(f"edge ({a},{b}) outside 0..{order - 1}")
+                check_elements((a, b), order, f"edge ({a},{b})")
                 rows[a] |= 1 << b
         return cls(order, tuple(red_rows), tuple(green_rows))
 
@@ -591,13 +599,13 @@ class Partition(Value):
     def __init__(self, order: int, blocks: tuple[tuple[int, ...], ...]):
         check_order(order)
         _check_ints([x for b in blocks for x in b], "partition")
+        for block in blocks:
+            check_elements(block, order, f"block {block}")
         blocks = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
         seen = 0
         for block in blocks:
             if not block:
                 raise ValueError("empty block in partition")
-            if block[0] < 0 or block[-1] >= order:
-                raise ValueError(f"block {block} has elements outside 0..{order - 1}")
             bmask = mask_of(block)
             if bmask & seen:
                 raise ValueError(f"block {block} overlaps another block")
@@ -679,11 +687,9 @@ class FiniteGroup(Value):
         bad = identity_counterexample(self, "(x*y)*z=x*(y*z)")
         if bad is not None:
             raise ValueError(f"table is not associative at ({bad[0]},{bad[1]},{bad[2]})")
-        no_inverse = next(
-            (a for a in range(order)
-             if not any(grid[a][b] == identity == grid[b][a] for b in range(order))),
-            None,
-        )
+        # an associative monoid by now, where a right inverse is two-sided: a*b = e
+        # makes x -> a*x onto, so one-to-one, and a*(b*a) = a*e gives b*a = e
+        no_inverse = next((a for a in range(order) if identity not in grid[a]), None)
         if no_inverse is not None:
             raise ValueError(f"element {no_inverse} has no inverse")
         set_field(self, "_identity", identity)
@@ -749,9 +755,7 @@ class Mapping(Value):
     def __init__(self, images: tuple[int, ...], codomain: int):
         images = tuple(images)
         check_order(codomain, "codomain")
-        _check_ints(images, "mapping")
-        if any(not 0 <= v < codomain for v in images):
-            raise ValueError(f"images {images} leave codomain 0..{codomain - 1}")
+        check_elements(images, codomain, "mapping")
         set_field(self, "images", images)
         set_field(self, "codomain", codomain)
 

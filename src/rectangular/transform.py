@@ -12,7 +12,7 @@ from __future__ import annotations
 from .core import (  # noqa: F401  (the conversions are re-exported)
     Groupoid,
     Partition,
-    _check_ints,
+    check_elements,
     graph_pair_to_groupoid,
     graph_pair_to_matrices,
     groupoid_to_graph_pair,
@@ -61,12 +61,10 @@ def subalgebra(g: Groupoid, subset: set[int] | frozenset[int]) -> Groupoid:
 
     Raises ClosureError with the escaping pair when the subset is not closed.
     """
-    members = sorted(subset)
-    _check_ints(members, "subset")
-    if not members:
+    check_elements(subset, g.order, "subset")
+    if not subset:
         raise ValueError("subset must be nonempty")
-    if members[0] < 0 or members[-1] >= g.order:
-        raise ValueError(f"subset {members} leaves 0..{g.order - 1}")
+    members = sorted(subset)
     where = {x: i for i, x in enumerate(members)}
     table = []
     for a in members:

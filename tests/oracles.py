@@ -268,6 +268,25 @@ def all_tables(n: int):
         yield Groupoid(n, tuple(flat[i * n:(i + 1) * n] for i in range(n)))
 
 
+def monoid_tables(n: int):
+    """Every associative table on 0..n-1 with identity 0, as row tuples
+    (1, 2, 11 and 156 at orders 1 to 4; keep n tiny)."""
+    free = range(1, n)
+    for cells in product(range(n), repeat=(n - 1) ** 2):
+        t = [tuple(range(n))] + [(a, *cells[(a - 1) * (n - 1):a * (n - 1)]) for a in free]
+        if all(t[t[x][y]][z] == t[x][t[y][z]] for x in free for y in free for z in free):
+            yield tuple(t)
+
+
+def first_without_inverse(table, identity: int) -> int | None:
+    """The first a with no b such that a*b = identity = b*a: the literal
+    two-sided scan over pairs."""
+    n = len(table)
+    return next((a for a in range(n)
+                 if not any(table[a][b] == identity == table[b][a] for b in range(n))),
+                None)
+
+
 def automorphism_count(g: Groupoid) -> int:
     n = g.order
     count = 0

@@ -390,7 +390,7 @@ class TestCentral:
                        for hi in permutations(range(m, n))]
         assert len(census._central_solutions(m, first[0], loops_first)) == len(reps)
 
-    def test_orbit_absorption_matches_every_first_row(self):
+    def test_orderly_census_matches_the_unpruned_search_from_every_first_row(self):
         # every C(n-1, m-1) first row, those with a second loop included
         for n in (1, 4):
             m = isqrt(n)

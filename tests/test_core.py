@@ -186,7 +186,7 @@ def test_partition_normalization_and_validation():
         Partition(3, ((0, 1),))
     for block in ((0, -1), (0, 3)):
         with pytest.raises(ValueError, match=re.escape(
-                f"block {tuple(sorted(block))} has elements outside 0..2")):
+                f"block {block}: {block[1]} is outside 0..2")):
             Partition(3, (block, (1, 2)))
 
 

@@ -389,7 +389,7 @@ class TestCliConstruct:
         assert main(["construct", "partition", "--base", "0,-1",
                      "--companions", "0,-1"]) == 2
         assert capsys.readouterr() == (
-            "", "error: block (-1, 0) has elements outside 0..1\n")
+            "", "error: block (0, -1): -1 is outside 0..1\n")
 
     def test_factorization(self, capsys):
         assert main(["construct", "factorization", "--cyclic", "6",
@@ -484,6 +484,19 @@ def test_hostile_input_exits_with_its_code_and_no_output(capsys, table_file, cas
 
 
 class TestCliEnumerate:
+    def test_help_names_the_census_bounds(self, capsys):
+        # the parser is built without importing census, so its help text
+        # states the bounds as numbers; raising a bound must update it
+        assert main(["enumerate", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert census.RECT_ISO_BOUND == census.RECT_ISOTOPY_BOUND
+        for phrase in (f"labeled tables are listed to order {census.RECT_LIST_BOUND} and "
+                       f"counted to order {census.RECT_COUNT_BOUND}",
+                       f"iso and isotopy classes go to order {census.RECT_ISO_BOUND}",
+                       f"N*M <= {census.BLOW_UP_BOUND}",
+                       f"the order-{census.CENTRAL_BOUND} central census"):
+            assert phrase in text
+
     def test_count(self, capsys):
         assert main(["enumerate", "--class", "rectangular", "--order", "2",
                      "--up-to", "labeled"]) == 0

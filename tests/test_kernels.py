@@ -6,7 +6,9 @@ kernel must return the middle-node table or the first pair whose plain path
 count is not 1, through every public function built on it.  Every order
 parameter of the package must reject non-integers and non-positive values,
 and every bounded entry point must raise CapacityError past its bound, as
-the one order check ``core.check_order`` does.
+the one order check ``core.check_order`` does.  Every element parameter
+must reject non-integers and values outside 0..n-1 with a ValueError, as
+the one element check ``core.check_elements`` does.
 """
 
 import ast
@@ -23,8 +25,13 @@ from rectangular.census import iter_rectangular_tables
 from rectangular.construct import (
     abelian_group,
     constant_groupoid,
+    coset_construction,
     evans_central,
+    group_factorization_pair,
+    left_extension,
     rectangular_band,
+    right_extension,
+    simple_blow_up,
 )
 from rectangular.core import (
     CONSTRUCT_BOUND,
@@ -33,10 +40,12 @@ from rectangular.core import (
     FiniteGroup,
     GraphPair,
     Groupoid,
+    Mapping,
     PartialArray,
+    Partition,
     identity_counterexample,
 )
-from rectangular.transform import graph_pair_to_groupoid
+from rectangular.transform import graph_pair_to_groupoid, subalgebra
 
 import oracles
 
@@ -202,6 +211,23 @@ def test_finite_group_associativity_witness_is_the_first_literal_one():
             assert got == "table is not associative at (%d,%d,%d)" % bad
         outcomes.add(bad is None)
     assert outcomes == {True, False}
+
+
+def test_finite_group_inverse_witness_is_the_first_two_sided_one():
+    # FiniteGroup looks for the identity in each row: in a finite monoid a
+    # right inverse is two-sided, so the witness is the literal scan's
+    outcomes = []
+    for n in range(1, 5):
+        for table in oracles.monoid_tables(n):
+            bad = oracles.first_without_inverse(table, 0)
+            if bad is None:
+                assert FiniteGroup(n, table).identity == 0
+            else:
+                with pytest.raises(ValueError, match=rf"^element {bad} has no inverse$"):
+                    FiniteGroup(n, table)
+            outcomes.append((n, bad))
+    assert len(outcomes) == 170
+    assert set(outcomes) == {(n, bad) for n in range(1, 5) for bad in (None, *range(1, n))}
 
 
 def test_light_associativity_test_matches_the_literal_scan():
@@ -402,6 +428,41 @@ def test_abelian_group_moduli_are_checked_like_orders():
         abelian_group(2.0, 2)
     with pytest.raises(ValueError, match="^modulus must be positive, got 0$"):
         abelian_group(2, 0)
+
+
+Z4 = abelian_group(4)
+BAND = rectangular_band(2, 2)
+
+# Each entry point that takes elements of 0..n-1: a call with v in place of
+# one element of the parameter, and n.
+ELEMENT_PARAMETERS = {
+    "constant_groupoid(a)": (lambda v: constant_groupoid(3, v), 3),
+    "simple_blow_up(a)": (lambda v: simple_blow_up(BAND, v), 4),
+    "left_extension(a)": (lambda v: left_extension(BAND, v), 4),
+    "right_extension(a)": (lambda v: right_extension(BAND, v), 4),
+    "group_factorization_pair(h)": (lambda v: group_factorization_pair(Z4, {0, v}, {0, 1}), 4),
+    "group_factorization_pair(k)": (lambda v: group_factorization_pair(Z4, {0, 2}, {0, v}), 4),
+    "coset_construction(h_subgroup)": (lambda v: coset_construction(Z4, {0, 2, v}, {0, 1}), 4),
+    "coset_construction(t)": (lambda v: coset_construction(Z4, {0, 2}, {0, v}), 4),
+    "subalgebra(subset)": (lambda v: subalgebra(BAND, {0, v}), 4),
+    "GraphPair.from_edges(red)": (lambda v: GraphPair.from_edges(3, [(0, v)], []), 3),
+    "GraphPair.from_edges(green)": (lambda v: GraphPair.from_edges(3, [], [(v, 0)]), 3),
+    "Mapping(images)": (lambda v: Mapping((0, v), 3), 3),
+    "Partition(blocks)": (lambda v: Partition(3, ((0, v), (1, 2))), 3),
+}
+
+
+@pytest.mark.parametrize("name", ELEMENT_PARAMETERS)
+def test_every_element_parameter_rejects_non_integers_and_values_outside_the_range(name):
+    # one element check, core.check_elements, before any sort of the input:
+    # never an IndexError from a lookup or a TypeError from sorted
+    call, n = ELEMENT_PARAMETERS[name]
+    for bad in (1.0, "a"):
+        with pytest.raises(ValueError, match=rf"^.+: {bad!r} is not an integer$"):
+            call(bad)
+    for bad in (-1, n):
+        with pytest.raises(ValueError, match=rf"^.+: {bad} is outside 0\.\.{n - 1}$"):
+            call(bad)
 
 
 # Each bounded entry point one step past its bound: the call, the bound and
