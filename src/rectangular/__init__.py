@@ -79,10 +79,12 @@ _EXPORTS = {
         "is_partial_p1",
         "is_rectangular",
         "satisfies_dually_partitioned_eqs",
+        "satisfies_left_reabsorption",
         "satisfies_p1",
         "satisfies_p2",
         "satisfies_p4",
         "satisfies_partitioned_eqs",
+        "satisfies_right_reabsorption",
         "satisfies_undirected_eq",
     ),
     "transform": (

@@ -34,37 +34,21 @@ def _shift(value, delta: int):
     return value
 
 
-_CHECKS = {
-    "rectangular": ("groupoid", properties.rectangularity_violation),
-    "p1": ("groupoid", properties.p1_violation),
-    "p2": ("graphpair", properties.p2_violation),
-    "p4": ("matrices", lambda pair: properties.p4_violation(*pair)),
-    "matrix-symmetric": ("groupoid", properties.matrix_symmetry_violation),
-    "full": ("groupoid", properties.fullness_violation),
-    "maximal": ("groupoid", properties.maximality_violation),
-    "partial-p1": ("partial", properties.partial_p1_violation),
-    "partial-latin": ("partial", properties.partial_latin_violation),
-    "blackburn": ("partial", properties.blackburn_violation),
-    **{name: ("groupoid", getattr(properties, row[0]))
-       for name, row in properties.NAMED_IDENTITIES.items()},
-}
+# check name -> (model, violation name), from the one list in properties
+_CHECKS = {name: row[:2] for name, row in properties.CHECKS.items()}
+_PARSERS = {"groupoid": "parse_table", "graphpair": "parse_graph_pair",
+            "matrices": "parse_matrix_pair", "partial": "parse_partial"}
 
 
 def _load(kind: str, path: str):
-    text = _read(path)
-    if kind == "groupoid":
-        return formats.parse_table(text)
-    if kind == "graphpair":
-        return formats.parse_graph_pair(text)
-    if kind == "matrices":
-        return formats.parse_matrix_pair(text)
-    return formats.parse_partial(text)
+    return getattr(formats, _PARSERS[kind])(_read(path))
 
 
 def _cmd_check(args) -> int:
-    kind, violation = _CHECKS[args.property]
+    kind, violation_name = _CHECKS[args.property]
     value = _load(kind, args.file)
-    witness = violation(value)
+    violation = getattr(properties, violation_name)
+    witness = violation(*value) if kind == "matrices" else violation(value)
     if witness is None:
         print("true")
         return 0

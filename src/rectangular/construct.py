@@ -64,6 +64,7 @@ def simple_blow_up(g: Groupoid, a: int) -> Groupoid:
     """
     n = g.order
     check_elements([a], n, "anchor")
+    check_order(n + 1, bound=CONSTRUCT_BOUND)
     _require_rectangular(g, "simple_blow_up")
     table = [list(row) + [row[a]] for row in g.table]
     table.append(list(g.table[a]) + [g.table[a][a]])
@@ -79,6 +80,7 @@ def left_extension(g: Groupoid, a: int) -> Groupoid:
     """
     n = g.order
     check_elements([a], n, "anchor")
+    check_order(n + 1, bound=CONSTRUCT_BOUND)
     if g.table[a][a] != a:
         raise ValueError(f"anchor {a} is not idempotent: {a}*{a} = {g.table[a][a]}")
     _require_rectangular(g, "left_extension")
@@ -95,6 +97,7 @@ def right_extension(g: Groupoid, a: int) -> Groupoid:
 
 
 def _check_split_maps(a: Groupoid, b: Groupoid, f: Mapping, g: Mapping) -> None:
+    check_order(a.order + b.order, bound=CONSTRUCT_BOUND)
     if f.domain != a.order or f.codomain != b.order:
         raise ValueError(
             f"f must map the first carrier (size {a.order}) into the second "

@@ -598,7 +598,6 @@ class Partition(Value):
 
     def __init__(self, order: int, blocks: tuple[tuple[int, ...], ...]):
         check_order(order)
-        _check_ints([x for b in blocks for x in b], "partition")
         for block in blocks:
             check_elements(block, order, f"block {block}")
         blocks = tuple(sorted(tuple(sorted(set(b))) for b in blocks))

@@ -2,19 +2,23 @@
 partial-array conditions.
 
 Every ``*_violation`` function returns the first witness tuple in a fixed
-scan order, or ``None``; the boolean predicates are thin wrappers.  Witnesses
-are what the CLI prints when a check comes out false.
+scan order, or ``None``.  Witnesses are what the CLI prints when a check
+comes out false.  ``CHECKS`` lists every property ``check`` evaluates: its
+model, its violation and its predicate, by name.  The boolean predicates are
+built from it, with ``is_congruence``: each is whether its violation finds
+no witness.
 
-Most predicates are one of three computations:
+Most violations are one of three computations:
 
-* The equational predicates (idempotence, associativity, centrality and
-  the rest) come from one table, ``NAMED_IDENTITIES``, which also gives
-  their ``check`` names.  Each identity is checked by one evaluator,
-  ``core.identity_counterexample``, which ``FiniteGroup`` also uses for
-  associativity.  It computes each side as a sequence over the last
-  variable (``bytes`` composed by ``bytes.translate`` up to order 256, a
-  list above), and scans the other variables in alphabetical order, so the
-  witness is the lexicographically first failing tuple.
+* The equational ones (idempotence, associativity, centrality and the rest)
+  come from one table, ``NAMED_IDENTITIES``, which ``CHECKS`` takes in.
+  Each identity is checked by one evaluator, ``core.identity_counterexample``,
+  which ``FiniteGroup`` also uses for associativity.  It computes each side
+  as a sequence over the last variable (``bytes`` composed by
+  ``bytes.translate`` up to order 256, tuples gathered by
+  ``operator.itemgetter`` above), and scans the other variables in
+  alphabetical order, so the witness is the lexicographically first failing
+  tuple.
 * Unique two-step paths (p2, p4, matrix symmetry and ``derive_plus``) go
   through ``core.two_step_middles``, on graph pairs from ``core``'s model
   conversions.
@@ -65,10 +69,6 @@ def rectangularity_violation(g: Groupoid) -> tuple[int, int, int] | None:
     return None
 
 
-def is_rectangular(g: Groupoid) -> bool:
-    return rectangularity_violation(g) is None
-
-
 def _mates(sets: list[int]) -> list[int]:
     """For each symbol, the other symbols sharing one of the lines with it."""
     mates = [0] * len(sets)
@@ -99,17 +99,9 @@ def p1_violation(g: Groupoid) -> tuple[int, int, int, int] | None:
     return _pair_in_row_and_column(g.table)
 
 
-def satisfies_p1(g: Groupoid) -> bool:
-    return p1_violation(g) is None
-
-
 def p2_violation(gp: GraphPair) -> tuple[int, int, int] | None:
     """First (a, b, count) whose red-green two-step path count is not 1."""
     return two_step_middles(gp.red, gp.green)[1]
-
-
-def satisfies_p2(gp: GraphPair) -> bool:
-    return p2_violation(gp) is None
 
 
 def p4_violation(a: BoolMatrix, b: BoolMatrix) -> tuple[int, int, int] | None:
@@ -117,18 +109,10 @@ def p4_violation(a: BoolMatrix, b: BoolMatrix) -> tuple[int, int, int] | None:
     return p2_violation(matrices_to_graph_pair(a, b))
 
 
-def satisfies_p4(a: BoolMatrix, b: BoolMatrix) -> bool:
-    return p4_violation(a, b) is None
-
-
 def fullness_violation(g: Groupoid) -> tuple[int] | None:
     """The least symbol that never occurs in the table."""
     missing = set(range(g.order)).difference(chain.from_iterable(g.table))
     return (min(missing),) if missing else None
-
-
-def is_full(g: Groupoid) -> bool:
-    return fullness_violation(g) is None
 
 
 def maximality_violation(g: Groupoid) -> tuple[int, int] | None:
@@ -144,14 +128,10 @@ def maximality_violation(g: Groupoid) -> tuple[int, int] | None:
     return None
 
 
-def is_maximal(g: Groupoid) -> bool:
-    return maximality_violation(g) is None
-
-
 # The equational properties, keyed by their ``check`` name: the name of the
 # violation, the name of the predicate, and the identities checked in turn.
 # A violation returns the first failing tuple of the first identity that
-# fails; the functions are built below and bound under these names.
+# fails; the violations are built below and bound under these names.
 _IDEMPOTENCE = "a*a=a"
 NAMED_IDENTITIES = {
     "idempotent": ("idempotence_violation", "is_idempotent", (_IDEMPOTENCE,)),
@@ -170,8 +150,8 @@ NAMED_IDENTITIES = {
 }
 
 
-def _equational(violation_name: str, predicate_name: str, identities: tuple[str, ...]):
-    """The violation and the predicate of one row of NAMED_IDENTITIES."""
+def _equational(name: str, identities: tuple[str, ...]):
+    """The violation named name that checks identities in turn."""
     def violation(g: Groupoid) -> tuple[int, ...] | None:
         for identity in identities:
             witness = identity_counterexample(g, identity)
@@ -179,17 +159,13 @@ def _equational(violation_name: str, predicate_name: str, identities: tuple[str,
                 return witness
         return None
 
-    def predicate(g: Groupoid) -> bool:
-        return violation(g) is None
-
     violation.__doc__ = f"First failing tuple of {', then '.join(identities)}."
-    for fn, name in ((violation, violation_name), (predicate, predicate_name)):
-        fn.__name__ = fn.__qualname__ = name
-    return violation, predicate
+    violation.__name__ = violation.__qualname__ = name
+    return violation
 
 
-globals().update({fn.__name__: fn for row in NAMED_IDENTITIES.values()
-                  for fn in _equational(*row)})
+globals().update({name: _equational(name, identities)
+                  for name, _, identities in NAMED_IDENTITIES.values()})
 
 
 def matrix_symmetry_violation(g: Groupoid) -> tuple[str, int, int, int] | None:
@@ -204,10 +180,6 @@ def matrix_symmetry_violation(g: Groupoid) -> tuple[str, int, int, int] | None:
         if bad is not None:
             return (direction, *bad)
     return None
-
-
-def is_matrix_symmetric(g: Groupoid) -> bool:
-    return matrix_symmetry_violation(g) is None
 
 
 def derive_plus(g: Groupoid) -> Groupoid:
@@ -239,17 +211,9 @@ def partial_latin_violation(p: PartialArray) -> tuple[str, int, int] | None:
     return None
 
 
-def is_partial_latin(p: PartialArray) -> bool:
-    return partial_latin_violation(p) is None
-
-
 def partial_p1_violation(p: PartialArray) -> tuple[int, int, int, int] | None:
     """First (x, y, row, col) with the pair {x, y} in both a row and a column."""
     return _pair_in_row_and_column(p.cells)
-
-
-def is_partial_p1(p: PartialArray) -> bool:
-    return partial_p1_violation(p) is None
 
 
 def blackburn_violation(
@@ -277,10 +241,6 @@ def blackburn_violation(
     return None
 
 
-def has_blackburn(p: PartialArray) -> bool:
-    return blackburn_violation(p) is None
-
-
 def congruence_violation(g: Groupoid, p: Partition) -> tuple[int, int, int, int] | None:
     """First (a, a', b, b') with a=a', b=b' mod p but a*b != a'*b' mod p."""
     if p.order != g.order:
@@ -300,5 +260,36 @@ def congruence_violation(g: Groupoid, p: Partition) -> tuple[int, int, int, int]
     return None
 
 
-def is_congruence(g: Groupoid, p: Partition) -> bool:
-    return congruence_violation(g, p) is None
+# Every property ``check`` evaluates, keyed by its ``check`` name: the model
+# its file holds (a ``formats`` parser per model), the name of its
+# violation and the name of its predicate.
+CHECKS = {
+    "rectangular": ("groupoid", "rectangularity_violation", "is_rectangular"),
+    "p1": ("groupoid", "p1_violation", "satisfies_p1"),
+    "p2": ("graphpair", "p2_violation", "satisfies_p2"),
+    "p4": ("matrices", "p4_violation", "satisfies_p4"),
+    "matrix-symmetric": ("groupoid", "matrix_symmetry_violation", "is_matrix_symmetric"),
+    "full": ("groupoid", "fullness_violation", "is_full"),
+    "maximal": ("groupoid", "maximality_violation", "is_maximal"),
+    "partial-p1": ("partial", "partial_p1_violation", "is_partial_p1"),
+    "partial-latin": ("partial", "partial_latin_violation", "is_partial_latin"),
+    "blackburn": ("partial", "blackburn_violation", "has_blackburn"),
+    **{name: ("groupoid", violation, predicate)
+       for name, (violation, predicate, _) in NAMED_IDENTITIES.items()},
+}
+
+
+def _predicate(violation_name: str, name: str):
+    """The predicate named name.  It looks its violation up by name on each
+    call, so a caller that wraps the violation finds the wrapper."""
+    def predicate(*args, **kwargs) -> bool:
+        return globals()[violation_name](*args, **kwargs) is None
+
+    predicate.__doc__ = f"Whether {violation_name} finds no witness."
+    predicate.__name__ = predicate.__qualname__ = name
+    return predicate
+
+
+globals().update({name: _predicate(violation, name) for violation, name in
+                  [*(row[1:] for row in CHECKS.values()),
+                   ("congruence_violation", "is_congruence")]})

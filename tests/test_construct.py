@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -281,6 +282,11 @@ class TestSplitExtensions:
     def test_mapping_mismatch_rejected(self):
         with pytest.raises(ValueError, match="f must map"):
             left_split_extension(TRIVIAL, TRIVIAL, Mapping((0, 0), 1), Mapping((0,), 1))
+        with pytest.raises(ValueError, match=re.escape(
+                "g must map the second carrier (size 3) into the first (size 2); "
+                "got domain 2, codomain 2")):
+            left_split_extension(constant_groupoid(2, 0), constant_groupoid(3, 0),
+                                 Mapping((0, 0), 3), Mapping((0, 0), 2))
 
 
 class TestPartitionConstruction:
@@ -364,6 +370,18 @@ class TestGroups:
         with pytest.raises(ValueError, match="not an exact factorization"):
             group_factorization_pair(cyclic_group(4), {0, 1}, {0, 1})
 
+    def test_factorization_sizes_are_checked(self):
+        with pytest.raises(ValueError, match=r"^h must be nonempty$"):
+            group_factorization_pair(cyclic_group(4), set(), {0})
+        with pytest.raises(ValueError, match=re.escape(
+                "|h|*|k| = 1*2 != 4; not an exact factorization")):
+            group_factorization_pair(cyclic_group(4), {0}, {0, 1})
+
+    def test_abelian_needs_a_modulus(self):
+        with pytest.raises(ValueError, match=r"^moduli must be a nonempty list of positive "
+                                             r"integers$"):
+            abelian_group()
+
     def test_translations_are_automorphisms(self):
         groups = [cyclic_group(k) for k in range(2, 9)] + [oracles.symmetric_group_3()]
         found = 0
@@ -427,6 +445,32 @@ class TestCosetConstruction:
         with pytest.raises(ValueError, match="transversal"):
             coset_construction(cyclic_group(4), {0, 2}, {0, 2})
 
+    def test_identity_is_required(self):
+        with pytest.raises(ValueError, match=r"^subgroup must contain the identity$"):
+            coset_construction(cyclic_group(4), {1, 3}, {0, 1})
+        with pytest.raises(ValueError, match=r"^transversal must contain the identity$"):
+            coset_construction(cyclic_group(4), {0, 2}, {1, 2})
+
+    @pytest.mark.parametrize("moduli", [(1,), (2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,),
+                                        (2, 4), (2, 2, 2), (9,), (3, 3)])
+    def test_agrees_with_factorization_on_abelian_groups(self, moduli):
+        # every subgroup h and every left-coset transversal t holding the
+        # identity: both constructions give red row g*h and green row g*t
+        gamma = abelian_group(*moduli)
+        n = gamma.order
+        pairs = 0
+        for rest in range(1 << (n - 1)):
+            h = {0, *(x for x in range(1, n) if rest >> (x - 1) & 1)}
+            if any(gamma.mul(x, y) not in h for x in h for y in h):
+                continue
+            cosets = {frozenset(gamma.mul(g, x) for x in h) for g in range(n)}
+            others = [sorted(c) for c in cosets if 0 not in c]
+            for reps in product(*others):
+                t = {0, *reps}
+                assert coset_construction(gamma, h, t) == group_factorization_pair(gamma, h, t)
+                pairs += 1
+        assert pairs
+
 
 class TestConstructorsSatisfyDefiningPredicates:
     def test_constants_and_bands_and_evans(self):
@@ -471,13 +515,29 @@ class TestConstructorsSatisfyDefiningPredicates:
         assert count > 10
 
 
+@pytest.fixture(scope="module")
+def bound_table():
+    """A table of the largest order a construction builds, made once."""
+    return constant_groupoid(CONSTRUCT_BOUND, 0)
+
+
+# each build takes the order-2048 table; those that add to it must refuse
+# before they build anything
 @pytest.mark.parametrize("build", [
-    lambda: constant_groupoid(CONSTRUCT_BOUND + 1, 0),
-    lambda: evans_central(46),  # order 2116
-    lambda: rectangular_band(1, CONSTRUCT_BOUND + 1),
-    lambda: cyclic_group(CONSTRUCT_BOUND + 1),
-    lambda: abelian_group(3, 683),  # order 2049
-], ids=["constant", "evans", "band", "cyclic", "abelian"])
-def test_constructions_above_their_bound_raise_capacity_error(build):
+    lambda big: constant_groupoid(CONSTRUCT_BOUND + 1, 0),
+    lambda big: evans_central(46),  # order 2116
+    lambda big: rectangular_band(1, CONSTRUCT_BOUND + 1),
+    lambda big: cyclic_group(CONSTRUCT_BOUND + 1),
+    lambda big: abelian_group(3, 683),  # order 2049
+    lambda big: simple_blow_up(big, 0),
+    lambda big: left_extension(big, 0),
+    lambda big: right_extension(big, 0),
+    lambda big: left_split_extension(big, TRIVIAL, Mapping((0,) * CONSTRUCT_BOUND, 1),
+                                     Mapping((0,), CONSTRUCT_BOUND)),
+    lambda big: right_split_extension(big, TRIVIAL, Mapping((0,) * CONSTRUCT_BOUND, 1),
+                                      Mapping((0,), CONSTRUCT_BOUND)),
+], ids=["constant", "evans", "band", "cyclic", "abelian", "blowup", "left-ext", "right-ext",
+        "left-split", "right-split"])
+def test_constructions_above_their_bound_raise_capacity_error(build, bound_table):
     with pytest.raises(CapacityError, match="bounded at order 2048"):
-        build()
+        build(bound_table)

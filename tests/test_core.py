@@ -152,12 +152,30 @@ def test_non_integer_entries_are_value_errors():
     (lambda: BoolMatrix(1, (1.0,)), "matrix: 1.0"),
     (lambda: Transversal(2, ((0.0, 0), (1, 1))), "transversal: 0.0"),
     (lambda: Groupoid(2.0, ((0, 1), (1, 0))), "groupoid table order: 2.0"),
-    (lambda: Partition(2, ((0.0,), (1,))), "partition: 0.0"),
+    (lambda: Partition(2, ((0.0,), (1,))), "block (0.0,): 0.0"),
     (lambda: GraphPair(2.0, (1, 2), (1, 2)), "order: 2.0"),
 ])
 def test_non_integer_values_are_value_errors(make, message):
     # a float equal to an int would pass the range checks
     with pytest.raises(ValueError, match=rf"^{re.escape(message)} is not an integer$"):
+        make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Groupoid(2, ((0, 1),)), "groupoid table must be exactly 2x2"),
+    (lambda: BoolMatrix.from_grid([[0, 1], [1]]), "matrix must be square; row 1 has 1 entries"),
+    (lambda: PartialArray(2, ((0, None), (1, 0))).to_groupoid(),
+     "partial array has empty cells"),
+    (lambda: compose(Permutation((0, 1)), Permutation((0, 1, 2))), "permutation orders differ"),
+    (lambda: Partition(2, ((), (0, 1))), "empty block in partition"),
+    (lambda: PartitionSystem(Partition.singletons(2), (Partition.single_block(2),)),
+     "need one companion partition per base block (2), got 1"),
+    (lambda: PartitionSystem(Partition.single_block(2), (Partition.singletons(3),)),
+     "companion partition order differs from base order"),
+], ids=["groupoid-rows", "matrix-row", "partial-to-groupoid", "compose", "empty-block",
+        "companion-count", "companion-order"])
+def test_malformed_values_are_value_errors_with_their_text(make, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
         make()
 
 

@@ -208,6 +208,17 @@ def test_text_after_the_structure_is_rejected(parse, text, line):
     parse("\n".join(text.splitlines()[:line - 1]) + "\n\n  \n")
 
 
+@pytest.mark.parametrize("parse, text, line, message", [
+    (parse_table, "", 1, "line 1: empty input; expected an order line"),
+    (parse_table, "0\n", 1, "line 1: order must be positive, got 0"),
+    (parse_graph_pair, "2\n01\n", 3, "line 3: missing red row 1"),
+], ids=["empty", "order-zero", "missing-row"])
+def test_truncated_input_names_its_line(parse, text, line, message):
+    with pytest.raises(FormatError) as info:
+        parse(text)
+    assert (str(info.value), info.value.line) == (message, line)
+
+
 @pytest.fixture
 def table_file(tmp_path):
     def write(name, text):
@@ -334,6 +345,15 @@ class TestCliConvert:
         a, b = parse_matrix_pair(capsys.readouterr().out)
         assert a == BoolMatrix.from_grid([[1, 0, 0, 0]] * 4)
 
+    def test_matrices_to_groupoid_and_graphpair(self, capsys, table_file):
+        gp = groupoid_to_graph_pair(fx.X4)
+        path = table_file("x4.mat", render_matrix_pair(BoolMatrix(4, gp.red),
+                                                       BoolMatrix(4, gp.green)))
+        assert main(["convert", "--from", "matrices", "--to", "groupoid", path]) == 0
+        assert capsys.readouterr().out == X4_TEXT
+        assert main(["convert", "--from", "matrices", "--to", "graphpair", path]) == 0
+        assert capsys.readouterr().out == render_graph_pair(gp)
+
     def test_non_unique_path_pair_rejected(self, capsys, table_file):
         gp = GraphPair(2, (3, 3), (3, 3))
         path = table_file("full.gp", render_graph_pair(gp))
@@ -428,6 +448,11 @@ def _capacity(order):
     return f"capacity: constructions are bounded at order 2048, got {order}\n"
 
 
+# two copies of an order-1025 table would build order 2050
+CONSTANT_1025 = "1025\n" + ("0 " * 1024 + "0\n") * 1025
+ZEROS_1025 = ",".join(["0"] * 1025)
+
+
 # Each argv, with FILE standing for a table file of the given text, and the
 # exit code and stderr (a whole line, or a part of argparse's usage text)
 # that it must give with nothing on stdout.
@@ -443,6 +468,8 @@ HOSTILE_INPUTS = {
                         "capacity: files are bounded at order 2048, got 2049\n"),
     "file-order-2048": (["check", "--property", "full", "FILE"], "2048\n", 2,
                         "error: line 2: expected 2048 table lines\n"),
+    "left-split-2050": (["construct", "left-split", "FILE", "FILE", "--f", ZEROS_1025,
+                         "--g", ZEROS_1025], CONSTANT_1025, 3, _capacity(2050)),
     "entry-plus": (["check", "--property", "full", "FILE"], "2\n0 +1\n1 0\n", 2,
                    "error: line 2: bad entry '+1' in column 1\n"),
     "entry-underscore": (["check", "--property", "full", "FILE"], "2\n0 1\n1 0_0\n", 2,
@@ -461,6 +488,8 @@ HOSTILE_INPUTS = {
                          "error: --order must be N or NxM, got ' 4'\n"),
     "order-spec-plus": (["enumerate", "--class", "band-blowups", "--order", "2x+2"], None, 2,
                         "error: --order must be N or NxM, got '2x+2'\n"),
+    "order-spec-pair": (["enumerate", "--class", "rectangular", "--order", "3x4"], None, 2,
+                        "error: class rectangular takes a single order, got '3x4'\n"),
     "argument-plus": (["construct", "constant", "+1", "0"], None, 2,
                       "argument n: invalid int value: '+1'"),
     "argument-underscore": (["construct", "band", "2", "0_2"], None, 2,

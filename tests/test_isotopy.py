@@ -165,6 +165,13 @@ class TestAreIsomorphic:
     def test_t5_pair_is_not_isomorphic(self):
         assert are_isomorphic(fx.T5A, fx.T5B) is None
 
+    def test_orders_must_agree(self):
+        with pytest.raises(ValueError, match=r"^orders differ: 2 vs 3$"):
+            are_isomorphic(constant_groupoid(2, 0), constant_groupoid(3, 0))
+        with pytest.raises(ValueError,
+                           match=r"^permutation order differs from groupoid order$"):
+            relabel(constant_groupoid(2, 0), Permutation.identity(3))
+
     def test_identity_witness_on_equal_tables(self):
         w = are_isomorphic(fx.X4, fx.X4)
         assert w == Permutation.identity(4)

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import rectangular
-from rectangular import census, core, formats, isotopy, properties
+from rectangular import census, cli, core, formats, isotopy, properties
 from rectangular.census import iter_rectangular_tables
 from rectangular.construct import (
     abelian_group,
@@ -45,7 +45,12 @@ from rectangular.core import (
     Partition,
     identity_counterexample,
 )
-from rectangular.transform import graph_pair_to_groupoid, subalgebra
+from rectangular.transform import (
+    graph_pair_to_groupoid,
+    graph_pair_to_matrices,
+    groupoid_to_graph_pair,
+    subalgebra,
+)
 
 import oracles
 
@@ -343,6 +348,37 @@ def test_identity_table_binds_each_function_under_its_own_name():
                  "satisfies_dually_partitioned_eqs", "satisfies_partitioned_eqs",
                  "satisfies_undirected_eq"):
         assert getattr(rectangular, name) is getattr(properties, name)
+
+
+def test_check_table_builds_every_predicate_from_its_violation():
+    # properties.CHECKS is the one list of the properties check evaluates;
+    # every predicate it names, with is_congruence, is exported and is
+    # whether its violation finds no witness, on samples of its model
+    assert sorted(properties.CHECKS) == sorted(cli._CHECKS)
+    rng = random.Random(23)
+    tables = [*oracles.all_tables(2), evans_central(2)]
+    pairs = [groupoid_to_graph_pair(g) for g in tables]
+    samples = {
+        "groupoid": [(g,) for g in tables],
+        "graphpair": [(gp,) for gp in pairs],
+        "matrices": [graph_pair_to_matrices(gp) for gp in pairs],
+        "partial": [(oracles.random_partial(rng, n, rng.uniform(0.2, 0.8)),)
+                    for n in range(1, 5) for _ in range(25)],
+        "congruence": [*((g, p) for g in tables[:-1]
+                         for p in (Partition.singletons(2), Partition.single_block(2))),
+                       *((oracles.random_groupoid(rng, 3), Partition(3, ((0, 1), (2,))))
+                         for _ in range(10))],
+    }
+    rows = [*properties.CHECKS.values(), ("congruence", "congruence_violation", "is_congruence")]
+    for model, violation_name, predicate_name in rows:
+        assert predicate_name in rectangular.__all__
+        predicate = getattr(rectangular, predicate_name)
+        assert predicate is getattr(properties, predicate_name)
+        assert (predicate.__name__, predicate.__qualname__) == (predicate_name,) * 2
+        violation = getattr(properties, violation_name)
+        outcomes = [predicate(*args) for args in samples[model]]
+        assert outcomes == [violation(*args) is None for args in samples[model]]
+        assert set(outcomes) == {True, False}, predicate_name
 
 
 def test_modules_use_every_name_they_import():

@@ -260,6 +260,11 @@ class TestPartialArrays:
         p = PartialArray(2, ((0, 1), (None, 0)))
         assert blackburn_violation(p) == ((0, 0), (1, 1), (0, 1))
         assert partial_latin_violation(p) is None
+        # the first corner (0, 1) is empty, so the witness is the second
+        assert blackburn_violation(PartialArray(2, ((0, None), (1, 0)))) == \
+            ((0, 0), (1, 1), (1, 0))
+        # two equal cells in one line span no rectangle
+        assert blackburn_violation(PartialArray(2, ((0, 0), (None, None)))) is None
 
     def test_latin_violation_axis(self):
         p = PartialArray(2, ((0, 0), (None, None)))
@@ -306,6 +311,9 @@ class TestCongruence:
         a, a2, b, b2 = bad
         idx = Partition(3, ((0, 1), (2,))).block_index
         assert idx[g.table[a][b]] != idx[g.table[a2][b2]]
+        # rows 0 and 1 agree mod the partition, so the witness is a column
+        assert congruence_violation(make_groupoid(3, [0, 2, 0] * 3),
+                                    Partition(3, ((0, 1), (2,)))) == (0, 0, 0, 1)
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="differs"):
