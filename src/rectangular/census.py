@@ -8,16 +8,16 @@ takes the ones that fit the next cell.  Permuting rows, columns and symbols
 independently maps rectangles to rectangles, so the rectangular tables of
 an order are closed under isotopy as well as relabeling.  The class
 censuses make the fill orderly (Read, "Every one a winner", 1978): when a
-row is complete, ``_still_live`` compares each isotope of the table by
-the group's moves, in the convention of ``core.flat_isotopes``, with it
-over the rows both have filled.  One already smaller cuts the branch and
-one already larger is dropped, so a complete table that survives is no
-greater than any isotope of it: the search reaches each class once, at
-its least table, and deduplicates nothing afterwards.  The labeled count
-lists nothing: ``count_rectangular`` is a transfer over rows, each row a
-set partition of the columns.  The band blow-ups run no search either: they
-are counted in closed form, a sum over the periodic points of the corner
-maps, up to band order 10 000.
+row is complete, ``_still_live`` compares it with each isotope by the
+group's moves over the rows both have filled, each move its permutations,
+read from the flat table in the convention of ``core.flat_isotopes``.  One
+already smaller cuts the branch and one already larger is dropped, so a
+complete table that survives is no greater than any isotope of it: the
+search reaches each class once, at its least table, and deduplicates
+nothing afterwards.  The labeled count lists nothing: ``count_rectangular``
+is a transfer over rows, each row a set partition of the columns.  The band
+blow-ups run no search either: they are counted in closed form, a sum over
+the periodic points of the corner maps, up to band order 10 000.
 
 The central search works on the matrix model: row i's out-neighbours must
 index rows that tile the column set.  BB = J forces BJ = JB, hence every
@@ -79,11 +79,10 @@ class CensusResult(Value):
 
 def _moves(n: int, triples) -> list:
     """The orderly search's moves on flat order-n tables: per (alpha, beta,
-    gamma) in triples other than the identity, its first untied row, alpha,
-    per row a the cells g(alpha(a), beta(b)) of image row a, and gamma^-1."""
+    gamma) in triples other than the identity, its first untied row and its
+    permutations alpha, beta and gamma^-1, which read its image off g."""
     ident = tuple(range(n))
-    return [(0, alpha, [[x * n + y for y in beta] for x in alpha],
-             sorted(range(n), key=gamma.__getitem__))
+    return [(0, alpha, beta, sorted(range(n), key=gamma.__getitem__))
             for alpha, beta, gamma in triples if not alpha == beta == gamma == ident]
 
 
@@ -92,20 +91,21 @@ def _still_live(flat: list[int], n: int, live: list, r: int) -> list | None:
     is filled, or None where one of them maps g below itself.
 
     A move h(a, b) = gamma^-1(g(alpha(a), beta(b))) is compared with g row
-    by row, as lists, from its first untied row.  Row a of h is known once
-    row alpha(a) of g is, so the comparison stops at the first row a that
-    either table has not filled.  h and g differ in no earlier cell, so a
-    first differing row that is smaller in h holds for every completion:
-    the branch is cut.  A larger one holds too: the move is dropped for the
-    subtree.  A move that ties stays live and resumes at its first untied
-    row.  So a table that passes its last row is no greater than any of
-    its images: the least of its orbit (Read 1978).
+    by row, as lists, from its first untied row.  Image row a is read off
+    row alpha(a) of the flat g, so the comparison stops at the first row a
+    that either table has not filled.  h and g differ in no earlier cell,
+    so a first differing row that is smaller in h holds for every
+    completion: the branch is cut.  A larger one holds too: the move is
+    dropped for the subtree.  A move that ties stays live and resumes at
+    its first untied row.  So a table that passes its last row is no
+    greater than any of its images: the least of its orbit (Read 1978).
     """
     kept = []
     for move in live:
-        a, alpha, source, gamma_inv = move
+        a, alpha, beta, gamma_inv = move
         while a <= r and alpha[a] <= r:
-            image = [gamma_inv[flat[k]] for k in source[a]]
+            x = alpha[a] * n
+            image = [gamma_inv[flat[x + y]] for y in beta]
             row = flat[a * n:a * n + n]
             if image != row:
                 if image < row:
@@ -113,7 +113,7 @@ def _still_live(flat: list[int], n: int, live: list, r: int) -> list | None:
                 break
             a += 1
         else:
-            kept.append(move if a == move[0] else (a, alpha, source, gamma_inv))
+            kept.append(move if a == move[0] else (a, alpha, beta, gamma_inv))
     return kept
 
 
@@ -246,7 +246,7 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
     else:
         perms = list(permutations(range(n)))
         triples = ([(s, s, s) for s in perms] if mode == "isomorphism"
-                   else list(product(perms, repeat=3)))
+                   else product(perms, repeat=3))
     tables = tuple(_kernel_groupoid(n, f) for f in _rect_flats(n, triples))
     return CensusResult(n, mode, len(tables), tables)
 

@@ -92,7 +92,10 @@ def left_extension(g: Groupoid, a: int) -> Groupoid:
 
 
 def right_extension(g: Groupoid, a: int) -> Groupoid:
-    """Mirror of left_extension: conjugate by the opposite operation."""
+    """Mirror of left_extension: conjugate by the opposite operation, once
+    the anchor and the result order are checked."""
+    check_elements([a], g.order, "anchor")
+    check_order(g.order + 1, bound=CONSTRUCT_BOUND)
     return opposite(left_extension(opposite(g), a))
 
 
@@ -131,8 +134,10 @@ def right_split_extension(a: Groupoid, b: Groupoid, f: Mapping, g: Mapping) -> G
     """Join two tables on A followed by B; the right operand picks the algebra.
 
     Copies rows of B into the top-right block and rows of A into the
-    bottom-left block: the opposite of the left split of the opposites.
+    bottom-left block: the opposite of the left split of the opposites,
+    built once the result order is checked.
     """
+    check_order(a.order + b.order, bound=CONSTRUCT_BOUND)
     return opposite(left_split_extension(opposite(a), opposite(b), f, g))
 
 

@@ -148,17 +148,17 @@ def matrices_to_graph_pair(a: BoolMatrix, b: BoolMatrix) -> GraphPair:
 def flat_isotopes(n: int, triples):
     """The isotope kernel: a function yielding the isotopes of a flat
     (row-major) order-n table g under each (alpha, beta, gamma) of image
-    sequences in triples, as flat tuples h in the one convention
+    sequences in triples, as flat tuples h read straight from g, a move
+    being its permutations, in the one convention
 
         h(a, b) = gamma^-1( g(alpha(a), beta(b)) )
     """
-    moves = [(sorted(range(n), key=gamma.__getitem__),  # gamma^-1
-              [alpha[a] * n + beta[b] for a in range(n) for b in range(n)])
+    moves = [(alpha, beta, sorted(range(n), key=gamma.__getitem__))  # gamma^-1
              for alpha, beta, gamma in triples]
 
     def images(flat):
-        for gamma_inv, source in moves:
-            yield tuple([gamma_inv[flat[k]] for k in source])
+        for alpha, beta, gamma_inv in moves:
+            yield tuple([gamma_inv[flat[x * n + y]] for x in alpha for y in beta])
     return images
 
 

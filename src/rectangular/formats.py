@@ -36,6 +36,17 @@ def strict_int(token: str) -> int:
     return int(token)
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of text broken at "\n" alone, one trailing empty line
+    dropped: ``splitlines()`` of text with no other break.  splitlines()
+    itself also breaks at \v, \f, \x1c-\x1e, \x85, U+2028 and U+2029,
+    so it would read one file line as two."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _parse_order(lines: list[str]) -> int:
     if not lines:
         raise FormatError(1, "empty input; expected an order line")
@@ -60,7 +71,7 @@ def _reject_trailing(lines: list[str], end: int) -> None:
 def _parse_grid(text: str, allow_empty: bool, noun: str) -> tuple[int, tuple]:
     """The order and rows of a symbol grid; "." marks an empty cell where
     allow_empty holds."""
-    lines = text.splitlines()
+    lines = _lines(text)
     order = _parse_order(lines)
     if len(lines) < 1 + order:
         raise FormatError(len(lines) + 1, f"expected {order} {noun} lines")
@@ -142,7 +153,7 @@ def _render_bit_rows(rows: tuple[int, ...], order: int) -> str:
 
 
 def parse_graph_pair(text: str) -> GraphPair:
-    lines = text.splitlines()
+    lines = _lines(text)
     order = _parse_order(lines)
     red = _parse_bit_rows(lines, 1, order, "red")
     sep = 1 + order
@@ -159,7 +170,7 @@ def render_graph_pair(gp: GraphPair) -> str:
 
 
 def parse_matrix(text: str) -> BoolMatrix:
-    lines = text.splitlines()
+    lines = _lines(text)
     order = _parse_order(lines)
     rows = _parse_bit_rows(lines, 1, order, "matrix")
     _reject_trailing(lines, 1 + order)

@@ -68,6 +68,43 @@ def _triples(n, mode):
     return [(s, s, s) for s in perms] if mode == "isomorphism" else list(product(perms, repeat=3))
 
 
+def _orderly_survivors(n, mode, flats, rng):
+    """The flats that survive ``_still_live`` threaded over their rows as
+    ``_rect_flats`` does, each call on a copy whose rows after r hold other
+    symbols.  Each verdict is checked against a literal rule on the full
+    images from ``flat_isotopes``: with K a move's first row a where a > r
+    or alpha(a) > r, the branch is cut exactly when some live move's image
+    is smaller over the rows before K; otherwise the moves whose image
+    ties there live on, resuming at row K."""
+    ident = tuple(range(n))
+    moved = [t for t in _triples(n, mode) if t != (ident, ident, ident)]
+    moves = census._moves(n, moved)
+    keys = [(alpha, beta, tuple(gamma_inv)) for _, alpha, beta, gamma_inv in moves]
+    images = flat_isotopes(n, moved)
+    survivors = []
+    for flat in flats:
+        image_of, live = dict(zip(keys, images(flat))), moves
+        for r in range(n):
+            probe = list(flat[:(r + 1) * n]) + [(y + rng.randrange(1, n)) % n
+                                                 for y in flat[(r + 1) * n:]]
+            verdict = census._still_live(probe, n, live, r)
+            cut, tied = False, []
+            for _, alpha, beta, gamma_inv in live:
+                k = next((a for a in range(n) if a > r or alpha[a] > r), n)
+                image = image_of[alpha, beta, tuple(gamma_inv)][:k * n]
+                cut = cut or image < flat[:k * n]
+                if image == flat[:k * n]:
+                    tied.append((k, alpha, beta, gamma_inv))
+            if cut:
+                assert verdict is None
+                break
+            assert verdict == tied
+            live = verdict
+        else:
+            survivors.append(flat)
+    return survivors
+
+
 @lru_cache(maxsize=None)
 def _bb_equals_j_order_4():
     """Every 4x4 0/1 matrix whose square is all-ones, as bitset rows."""
@@ -149,6 +186,16 @@ class TestRectangular:
             images = flat_isotopes(n, _triples(n, mode))
             for g in _REPS[mode](n):
                 assert min(images(g.flat())) == g.flat()
+
+    def test_the_orderly_kernel_row_by_row_against_the_literal_rule(self):
+        rng = random.Random(24)
+        for n in range(1, 4):
+            assert _orderly_survivors(n, "isotopy", census._rect_flats(n), rng) == \
+                [g.flat() for g in _isotopy_reps(n)]
+        sample = rng.sample(list(census._rect_flats(4)), 400)
+        reps = {g.flat() for g in _iso_reps(4)}
+        assert _orderly_survivors(4, "isomorphism", sample, rng) == \
+            [f for f in sample if f in reps]
 
     @pytest.mark.parametrize("mode", ["isomorphism", "isotopy"])
     def test_the_reps_orbits_partition_the_labeled_tables(self, mode):

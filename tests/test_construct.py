@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from rectangular import construct
 from rectangular.core import (
     CONSTRUCT_BOUND,
     CapacityError,
@@ -538,6 +539,10 @@ def bound_table():
                                       Mapping((0,), CONSTRUCT_BOUND)),
 ], ids=["constant", "evans", "band", "cyclic", "abelian", "blowup", "left-ext", "right-ext",
         "left-split", "right-split"])
-def test_constructions_above_their_bound_raise_capacity_error(build, bound_table):
+def test_constructions_above_their_bound_raise_capacity_error(build, bound_table, monkeypatch):
+    # the right-hand forms refuse before they transpose their inputs
+    def no_opposite(g):
+        raise AssertionError("an opposite was built above the bound")
+    monkeypatch.setattr(construct, "opposite", no_opposite)
     with pytest.raises(CapacityError, match="bounded at order 2048"):
         build(bound_table)

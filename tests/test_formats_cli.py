@@ -476,6 +476,10 @@ HOSTILE_INPUTS = {
                          "error: line 3: bad entry '0_0' in column 1\n"),
     "entry-arabic-indic": (["check", "--property", "full", "FILE"], "2\n0 ١\n1 0\n", 2,
                            "error: line 2: bad entry '١' in column 1\n"),
+    "rows-split-by-u2028": (["check", "--property", "full", "FILE"], "2\n0 1\u20281 0\n", 2,
+                            "error: line 3: expected 2 table lines\n"),
+    "red-row-split-by-ff": (["check", "--property", "p2", "FILE"], "2\n01\f10\n\n01\n10\n", 2,
+                            "error: line 2: expected 2 characters of 0/1, got '01\\x0c10'\n"),
     "order-plus": (["check", "--property", "full", "FILE"], "+1\n0\n", 2,
                    "error: line 1: expected the order, got '+1'\n"),
     "order-arabic-indic": (["check", "--property", "full", "FILE"], "١\n0\n", 2,
