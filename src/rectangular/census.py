@@ -46,9 +46,10 @@ from .core import (
     CapacityError,
     Groupoid,
     Value,
-    _kernel_groupoid,
+    _unchecked,
     bits_of,
     check_order,
+    isotope_moves,
     mask_of,
     set_field,
     two_step_middles,
@@ -80,10 +81,11 @@ class CensusResult(Value):
 def _moves(n: int, triples) -> list:
     """The orderly search's moves on flat order-n tables: per (alpha, beta,
     gamma) in triples other than the identity, its first untied row and its
-    permutations alpha, beta and gamma^-1, which read its image off g."""
+    permutations alpha, beta and gamma^-1 (``core.isotope_moves``), which read
+    its image off g."""
     ident = tuple(range(n))
-    return [(0, alpha, beta, sorted(range(n), key=gamma.__getitem__))
-            for alpha, beta, gamma in triples if not alpha == beta == gamma == ident]
+    moved = (triple for triple in triples if not triple[0] == triple[1] == triple[2] == ident)
+    return [(0, *move) for move in isotope_moves(n, moved)]
 
 
 def _still_live(flat: list[int], n: int, live: list, r: int) -> list | None:
@@ -166,7 +168,9 @@ def _rect_flats(n: int, triples=()):
 def iter_rectangular_tables(n: int):
     """Stream every rectangular groupoid of order n in lex table order."""
     check_order(n, bound=ITER_BOUND, limit="streaming is")
-    return (_kernel_groupoid(n, flat) for flat in _rect_flats(n))
+    starts = range(0, n * n, n)
+    return (_unchecked(Groupoid, n, tuple([flat[i:i + n] for i in starts]))
+            for flat in _rect_flats(n))
 
 
 def _column_partitions(n: int) -> list[tuple[int, ...]]:
@@ -247,7 +251,9 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
         perms = list(permutations(range(n)))
         triples = ([(s, s, s) for s in perms] if mode == "isomorphism"
                    else product(perms, repeat=3))
-    tables = tuple(_kernel_groupoid(n, f) for f in _rect_flats(n, triples))
+    starts = range(0, n * n, n)
+    tables = tuple(_unchecked(Groupoid, n, tuple([f[i:i + n] for i in starts]))
+                   for f in _rect_flats(n, triples))
     return CensusResult(n, mode, len(tables), tables)
 
 
@@ -401,7 +407,7 @@ def _central_table(rows: tuple[int, ...]) -> Groupoid:
     if bad is not None:
         raise RuntimeError(f"central search returned a matrix B with B*B != J: "
                            f"witness {bad}")
-    return Groupoid(len(rows), table)
+    return _unchecked(Groupoid, len(rows), table)  # every middle is a node
 
 
 def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusResult:

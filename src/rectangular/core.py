@@ -5,25 +5,34 @@ Symbols, rows, columns and graph nodes are always 0-based and live in
 (bit ``j`` of row ``i`` set iff ``(i, j)`` is present), so the path-counting
 predicates reduce to AND + popcount.  Every type is a ``Value``, a plain
 class whose ``__init__`` validates and stores its fields and whose base
-gives equality, hashing and repr over them and refuses assignment.  The
-package does not import ``dataclasses``, which with ``inspect`` and ``ast``
-costs a CLI launch about 10 ms.  All operations in the package are pure
-functions and safe to call concurrently.
+gives equality, hashing and repr over them and refuses assignment;
+``_unchecked`` builds one without its checks, from fields that a kernel or a
+parser has already checked.  The package does not import ``dataclasses``,
+which with ``inspect`` and ``ast`` costs a CLI launch about 10 ms.  All
+operations in the package are pure functions and safe to call concurrently.
 
 The kernels every layer shares live here too: the two value checks,
 ``check_order`` and ``check_elements``, the two-step path count
 (``two_step_middles``), the symbols of each line (``line_symbol_sets``), the
-identity evaluator (``identity_counterexample``, which holds a side over
-its last variable as ``bytes`` up to order 256, composing rows with
-``bytes.translate``, and as a tuple gathered by ``itemgetter`` above 256,
-and decides the associative law by Light's test on a generating set,
-``_is_associative``), the pair carrier
-(``pair_groupoid``, pair (a, b) of an n x m carrier being a*m + b), the
-model conversions
+identity evaluator, the pair carrier (``pair_groupoid``, pair (a, b) of an
+n x m carrier being a*m + b), the model conversions
 (``groupoid_to_graph_pair``, ``graph_pair_to_groupoid``,
 ``graph_pair_to_matrices``, ``matrices_to_graph_pair``) and the isotope
-kernel (``flat_isotopes``), which states the one isotopy convention
-h(a, b) = gamma^-1(g(alpha(a), beta(b))).
+kernel (``isotope_moves``, ``flat_isotopes``), which states the one isotopy
+convention h(a, b) = gamma^-1(g(alpha(a), beta(b))).
+
+The identity evaluator, ``identity_counterexample``, holds a side over its
+last variable as ``bytes`` up to order 256, composing rows with
+``bytes.translate``, and as a tuple gathered by ``itemgetter`` above 256.
+It decides the associative law by Light's test on a generating set
+(``_is_associative``).  It scans the other variables in lexicographic
+order (``_scan``).  Where one of them, v, occurs once, as a factor of a
+product with a variable w, the identity reads v only through that product,
+and the scan skips each value of v whose product (whose row or column,
+where w is the last variable) an earlier value of v already gave.  The
+first failing tuple is never skipped, so the witness is the full scan's:
+for centrality on Evans's groupoid of order m^2 the scan visits m^3 pairs
+of values, not m^4, whether the identity holds or fails.
 """
 
 from __future__ import annotations
@@ -132,7 +141,7 @@ def graph_pair_to_groupoid(gp: GraphPair) -> Groupoid:
     if bad is not None:
         a, b, k = bad
         raise ValueError(f"not a unique-path pair: ({a},{b}) has {k} red-green paths")
-    return Groupoid(gp.order, table)
+    return _unchecked(Groupoid, gp.order, table)  # every middle is a node
 
 
 def graph_pair_to_matrices(gp: GraphPair) -> tuple[BoolMatrix, BoolMatrix]:
@@ -145,6 +154,16 @@ def matrices_to_graph_pair(a: BoolMatrix, b: BoolMatrix) -> GraphPair:
     return GraphPair(a.order, a.rows, b.rows)
 
 
+def isotope_moves(n: int, triples) -> Iterator[tuple]:
+    """Each (alpha, beta, gamma) of image sequences in triples, lazily, as
+    the move (alpha, beta, gamma^-1) that reads an isotope off a flat
+    order-n table; the moves with one gamma share one gamma^-1 list."""
+    inverse: dict = {}
+    return ((alpha, beta, inverse.get(gamma)
+             or inverse.setdefault(gamma, sorted(range(n), key=gamma.__getitem__)))
+            for alpha, beta, gamma in triples)
+
+
 def flat_isotopes(n: int, triples):
     """The isotope kernel: a function yielding the isotopes of a flat
     (row-major) order-n table g under each (alpha, beta, gamma) of image
@@ -153,8 +172,7 @@ def flat_isotopes(n: int, triples):
 
         h(a, b) = gamma^-1( g(alpha(a), beta(b)) )
     """
-    moves = [(alpha, beta, sorted(range(n), key=gamma.__getitem__))  # gamma^-1
-             for alpha, beta, gamma in triples]
+    moves = list(isotope_moves(n, triples))
 
     def images(flat):
         for alpha, beta, gamma_inv in moves:
@@ -278,6 +296,73 @@ def _is_associative_law(sides) -> bool:
     return False
 
 
+def _subterms(term) -> Iterator:
+    """Every subterm of a term, itself included, once per occurrence."""
+    yield term
+    if isinstance(term, tuple):
+        for side in term:
+            yield from _subterms(side)
+
+
+def _firsts(seq) -> list[int]:
+    """The index of the first occurrence of each distinct item of seq, in
+    increasing order."""
+    return sorted(dict(zip(seq[::-1], range(len(seq) - 1, -1, -1))).values())
+
+
+def _scan(outer: tuple, last: str, sides: tuple, t: list) -> Iterable[tuple]:
+    """The tuples of values of the outer variables that the evaluator scans,
+    in lexicographic order: every one, or, where an outer variable v occurs
+    once, as a factor of a product with a variable w, only those in which v
+    is the least of its class.
+
+    The identity reads v only through that product.  Where w is outer, v's
+    class, given w's value, is the v with one value of v*w: one symbol of
+    column w (row w for w*v).  Where w is the last variable, v*z over every
+    z is row v (z*v column v), and v's class is the v with one row
+    (column).  Both sides over the last variable are the same across a
+    class, so a failing tuple fails again, at the same last value, with v
+    the least of its class, and the lexicographically first failing tuple
+    is one of those scanned.  Of the variables that qualify, the one that
+    leaves the fewest tuples is taken.
+    """
+    n, k = len(t), len(outer)
+    full = range(n)
+    subterms = [term for side in sides for term in _subterms(side)]
+    factors = [(v, w, v == node[0]) for node in subterms
+               if isinstance(node, tuple) and all(isinstance(x, str) for x in node)
+               for v, w in (node, node[::-1]) if v in outer and subterms.count(v) == 1]
+    cols = list(zip(*t)) if factors else None
+    best, fewest = None, n ** k
+    for v, w, v_left in factors:
+        lines = t if v_left == (w == last) else cols
+        if w == last:
+            firsts = _firsts(lines)
+            size = n ** (k - 1) * len(firsts)
+        else:
+            firsts = [_firsts(line) for line in lines]  # per value of w
+            size = n ** (k - 2) * sum(map(len, firsts))
+        if size < fewest:
+            best, fewest = (outer.index(v), w, firsts), size
+    if best is None:
+        return product(full, repeat=k)
+    i, w, firsts = best
+    if w == last:
+        return product(*[firsts if p == i else full for p in range(k)])
+    j = outer.index(w)
+    if j > i:  # v comes first: w ranges over the values at which v is least
+        by_v = [[] for _ in full]
+        for y, xs in enumerate(firsts):
+            for x in xs:
+                by_v[x].append(y)
+        firsts = by_v
+    a, b = sorted((i, j))  # the values at b, given the value x at a, are firsts[x]
+    return (head + (x,) + mid + (y,) + tail
+            for head in product(full, repeat=a) for x in full
+            for mid in product(full, repeat=b - a - 1) for y in firsts[x]
+            for tail in product(full, repeat=k - b - 1))
+
+
 def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     """The lexicographically first tuple of values, one per variable in
     alphabetical order, at which ``identity`` fails in the table of g (a
@@ -287,8 +372,12 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
     values of the other variables, compute the side as a sequence over the
     last variable (``_sequences``).  The associative law, in any letters and
     either side first, is decided first by Light's test (``_is_associative``);
-    only a table that fails it is scanned for the witness.  A malformed
-    identity raises ValueError.
+    only a table that fails it is scanned for the witness.  The scan runs
+    over the other variables in lexicographic order (``_scan``); where one
+    of them occurs once, as a factor of a product with another variable, it
+    skips the values of that variable that repeat an earlier value of the
+    product, or an earlier row or column, which cannot hold the first
+    failure.  A malformed identity raises ValueError.
     """
     outer, last, sides = _parse_identity(identity)
     if _is_associative_law(sides) and _is_associative(g.table):
@@ -301,7 +390,7 @@ def identity_counterexample(g, identity: str) -> tuple[int, ...] | None:
         consts = None if varies else [type(ids)((s,)) * n for s in ids]
         return fn if varies else lambda env: consts[fn(env)]
     left, right = map(sequence, sides)
-    for env in product(range(n), repeat=len(outer)):
+    for env in _scan(outer, last, sides, t):
         u, v = left(env), right(env)
         if u != v:
             return env + (next(i for i in ids if u[i] != v[i]),)
@@ -427,14 +516,15 @@ def make_groupoid(order: int, entries: Iterable[int]) -> Groupoid:
     return Groupoid(order, rows)
 
 
-def _kernel_groupoid(order: int, flat: tuple[int, ...]) -> Groupoid:
-    """The Groupoid of a row-major flat table that a kernel built, such as
-    a census search: no checks, so only for tables known to be order x
-    order over 0..order-1."""
-    g = object.__new__(Groupoid)
-    set_field(g, "order", order)
-    set_field(g, "table", tuple([flat[i:i + order] for i in range(0, order * order, order)]))
-    return g
+def _unchecked(cls, *fields):
+    """The value of type cls with the given fields, in the order of its
+    ``__init__``'s parameters, built without its checks: only for fields a
+    kernel or a parser has already checked, such as the tables a census
+    search or a file parse built."""
+    value = object.__new__(cls)
+    for name, field in zip(cls._fields, fields):
+        set_field(value, name, field)
+    return value
 
 
 class GraphPair(Value):

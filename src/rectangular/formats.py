@@ -4,6 +4,13 @@ JSON census emission.
 Files are always 0-based.  Parsing and rendering round-trip bit-exactly
 after one normalization pass; renderers accept a one_based flag that shifts
 displayed symbols only.
+
+A symbol grid is read and written through a spelling table: ``str(v)`` for
+each symbol v (``str(v + 1)`` when one_based) and "." for an empty cell.  A
+row whose tokens are all in the table is mapped through it whole; a row
+with any other token goes through ``strict_int`` token by token, which
+takes spellings such as "007" and "-0" and names the first bad entry.  The
+parsed values are built unchecked, as the parse has checked every entry.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from .core import (
     GraphPair,
     Groupoid,
     PartialArray,
+    _unchecked,
     check_order,
     graph_pair_to_matrices,
     matrices_to_graph_pair,
@@ -70,34 +78,32 @@ def _reject_trailing(lines: list[str], end: int) -> None:
 
 def _parse_grid(text: str, allow_empty: bool, noun: str) -> tuple[int, tuple]:
     """The order and rows of a symbol grid; "." marks an empty cell where
-    allow_empty holds."""
+    allow_empty holds, read through the spelling table."""
     lines = _lines(text)
     order = _parse_order(lines)
     if len(lines) < 1 + order:
         raise FormatError(len(lines) + 1, f"expected {order} {noun} lines")
-    # on ASCII text with no "+" or "_", int() takes what strict_int takes
-    to_int = int if text.isascii() and "+" not in text and "_" not in text else strict_int
+    spellings = {str(v): v for v in range(order)}
+    if allow_empty:
+        spellings["."] = None
     rows = []
     for i in range(order):
         line_no = i + 2
         tokens = lines[1 + i].split()
         if len(tokens) != order:
             raise FormatError(line_no, f"expected {order} entries, got {len(tokens)}")
-        if to_int is int:  # the whole row at once; the loop below names a bad token
-            try:
-                row = tuple(map(int, tokens))
-                if 0 <= min(row) and max(row) < order:
-                    rows.append(row)
-                    continue
-            except ValueError:
-                pass
+        try:
+            rows.append(tuple(map(spellings.__getitem__, tokens)))
+            continue
+        except KeyError:
+            pass
         row = []
         for col, token in enumerate(tokens):
             if allow_empty and token == ".":
                 row.append(None)
                 continue
             try:
-                value = to_int(token)
+                value = strict_int(token)
             except ValueError:
                 raise FormatError(line_no, f"bad entry {token!r} in column {col}") from None
             if not 0 <= value < order:
@@ -110,27 +116,29 @@ def _parse_grid(text: str, allow_empty: bool, noun: str) -> tuple[int, tuple]:
     return order, tuple(rows)
 
 
+def _render_grid(order: int, rows, one_based: bool) -> str:
+    """The text of a symbol grid, written through the spelling table."""
+    shift = 1 if one_based else 0
+    spellings = {v: str(v + shift) for v in range(order)}
+    spellings[None] = "."
+    body = "\n".join([" ".join(map(spellings.__getitem__, row)) for row in rows])
+    return f"{order}\n{body}\n"
+
+
 def parse_table(text: str) -> Groupoid:
-    return Groupoid(*_parse_grid(text, False, "table"))
+    return _unchecked(Groupoid, *_parse_grid(text, False, "table"))
 
 
 def render_table(g: Groupoid, one_based: bool = False) -> str:
-    shift = 1 if one_based else 0
-    body = "\n".join(" ".join(str(e + shift) for e in row) for row in g.table)
-    return f"{g.order}\n{body}\n"
+    return _render_grid(g.order, g.table, one_based)
 
 
 def parse_partial(text: str) -> PartialArray:
-    return PartialArray(*_parse_grid(text, True, "array"))
+    return _unchecked(PartialArray, *_parse_grid(text, True, "array"))
 
 
 def render_partial(p: PartialArray, one_based: bool = False) -> str:
-    shift = 1 if one_based else 0
-    body = "\n".join(
-        " ".join("." if e is None else str(e + shift) for e in row)
-        for row in p.cells
-    )
-    return f"{p.order}\n{body}\n"
+    return _render_grid(p.order, p.cells, one_based)
 
 
 def _parse_bit_rows(lines: list[str], start: int, order: int, what: str) -> tuple[int, ...]:

@@ -219,6 +219,57 @@ def test_truncated_input_names_its_line(parse, text, line, message):
     assert (str(info.value), info.value.line) == (message, line)
 
 
+# Spellings outside the table of canonical ones go through strict_int: the
+# table is the same as for the canonical text, with "." an empty cell in a
+# partial array.
+SPELLED_TEXT = "8\n00 007 -0 3\t4 5 6 7\n" + "7 6 5 4 3 2 1 0\n" * 7
+SPELLED_ROWS = ((0, 7, 0, 3, 4, 5, 6, 7),) + ((7, 6, 5, 4, 3, 2, 1, 0),) * 7
+
+
+def test_non_canonical_spellings_parse_as_their_integers():
+    assert parse_table(SPELLED_TEXT) == make_groupoid(8, sum(SPELLED_ROWS, ()))
+    assert parse_partial(SPELLED_TEXT) == PartialArray(8, SPELLED_ROWS)
+    text = "3\n. 01 \t2\n-0 . 002\n1 2 .\n"
+    assert parse_partial(text) == PartialArray(3, ((None, 1, 2), (0, None, 2), (1, 2, None)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n0 +1\n1 0\n", "line 2: bad entry '+1' in column 1"),
+    ("2\n0 1\n1 1_0\n", "line 3: bad entry '1_0' in column 1"),
+    ("2\n0 ١\n1 0\n", "line 2: bad entry '١' in column 1"),
+    ("2\n٠ 1\n1 0\n", "line 2: bad entry '٠' in column 0"),
+    ("2\n0 -1\n1 0\n", "line 2: entry -1 out of range 0..1 in column 1"),
+    ("2\n0 1\n2 0\n", "line 3: entry 2 out of range 0..1 in column 0"),
+    ("2\n0 1\n1 002\n", "line 3: entry 2 out of range 0..1 in column 1"),
+    ("2\n0 1\n1 x\n", "line 3: bad entry 'x' in column 1"),
+], ids=["plus", "underscore", "arabic-indic", "arabic-indic-zero", "minus-one",
+        "order", "order-padded", "letter"])
+def test_entry_errors_keep_their_text(text, message):
+    for parse in (parse_table, parse_partial):
+        with pytest.raises(FormatError) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
+def test_a_dot_is_a_bad_entry_in_a_table():
+    with pytest.raises(FormatError) as info:
+        parse_table("2\n0 .\n1 0\n")
+    assert str(info.value) == "line 2: bad entry '.' in column 1"
+
+
+@pytest.mark.parametrize("order", [255, 256, 257])
+def test_parsed_values_equal_checked_ones_in_value_hash_and_repr(order):
+    rng = random.Random(order)
+    flat = [rng.randrange(order) for _ in range(order * order)]
+    g = make_groupoid(order, flat)
+    parsed = parse_table(render_table(g))
+    assert (parsed, hash(parsed), repr(parsed)) == (g, hash(g), repr(g))
+    cells = tuple(tuple(None if rng.random() < 0.3 else e for e in row) for row in g.table)
+    p = PartialArray(order, cells)
+    parsed = parse_partial(render_partial(p))
+    assert (parsed, hash(parsed), repr(parsed)) == (p, hash(p), repr(p))
+
+
 @pytest.fixture
 def table_file(tmp_path):
     def write(name, text):

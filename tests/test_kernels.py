@@ -1,9 +1,10 @@
 """The shared predicate kernels against the literal scans in oracles.py.
 
 The identity evaluator must return, for every equational ``*_violation``,
-the first failing tuple of ``product(range(n), repeat=k)``; the two-step
-kernel must return the middle-node table or the first pair whose plain path
-count is not 1, through every public function built on it.  Every order
+the first failing tuple of ``product(range(n), repeat=k)``, also where its
+scan skips the values of a variable that repeat a product; the two-step
+kernel must return the middle-node table or the first pair whose plain
+path count is not 1, through every public function built on it.  Every order
 parameter of the package must reject non-integers and non-positive values,
 and every bounded entry point must raise CapacityError past its bound, as
 the one order check ``core.check_order`` does.  Every element parameter
@@ -110,6 +111,88 @@ def test_identity_evaluator_either_side_of_order_256(m):
     for h in changed[:2]:
         assert identity_counterexample(h, "(z*x)*(x*y)=x") == \
             oracles.identity_violation_by_eval(h, "(z*x)*(x*y)=x")
+    # the band satisfies three more identities whose scan skips a variable,
+    # and its one-cell changes fail them deep in the scan
+    band = rectangular_band(m, m)
+    changed = [oracles.one_cell_change(band, a, b) for a, b in [(0, 0), (1, 200), (3, 77)]]
+    for name in ("undirected_eq_violation", "partitioned_eqs_violation",
+                 "dually_partitioned_eqs_violation"):
+        violation = getattr(properties, name)
+        assert violation(band) is None
+        for h in changed:
+            assert violation(h) == oracles.literal_identity_violation(name, h), (name, h)
+
+
+# identity -> (the variable the scan skips values of, whether its partner
+# is the last variable): partners of both kinds, on the left and on the right
+# of the product, at the top of a side and nested in it
+REDUCIBLE = {
+    "(x*y)*(y*z)=y": ("x", False),
+    "(a*b)*(c*a)=a": ("b", False),
+    "(a*b)*c=a*c": ("b", False),
+    "a*(b*c)=a*c": ("b", True),
+    "x*(z*y)=x*z": ("y", True),
+    "(a*((b*c)*d))*a=a*d": ("b", False),
+    "a*(b*(c*d))=a*d": ("c", True),
+    "(d*(c*(a*b)))*e=d*e": ("a", False),
+}
+
+
+def _reduced_tables() -> list[Groupoid]:
+    rng = random.Random(39)
+    tables = []
+    for g in (rectangular_band(3, 3), rectangular_band(2, 4), evans_central(3)):
+        tables += [g, *_one_cell_changes(rng, g, 40)]
+    return tables
+
+
+@pytest.mark.parametrize("identity", sorted(REDUCIBLE))
+def test_skipping_scan_keeps_the_lex_first_witness(identity):
+    outer, last, sides = core._parse_identity(identity)
+    variable, partner_is_last = REDUCIBLE[identity]
+    outcomes = set()
+    for g in _reduced_tables() + TABLES[::7]:
+        assert identity_counterexample(g, identity) == \
+            oracles.identity_violation_by_eval(g, identity), (identity, g.table)
+        outcomes.add(identity_counterexample(g, identity) is None)
+    assert outcomes == {True, False}
+    # on band(3, 3), whose lines and line products fall in 3 classes, the
+    # scan keeps the expected variable at 3 values for each value of the
+    # others, in lexicographic order
+    envs = list(core._scan(outer, last, sides, list(rectangular_band(3, 3).table)))
+    assert envs == sorted(set(envs))
+    i = outer.index(variable)
+    assert len(envs) == 3 * 9 ** (len(outer) - 1)
+    assert len({env[:i] + env[i + 1:] for env in envs}) == 9 ** (len(outer) - 1)
+    if partner_is_last:  # one least value per distinct row or column
+        assert len({env[i] for env in envs}) == 3
+
+
+def test_a_failing_check_scans_no_more_than_a_passing_one(monkeypatch):
+    # the one lexicographic scan stops at the witness: a failing check
+    # visits a prefix of the tuples a passing check visits, and no more
+    scan, visits = core._scan, []
+
+    def counted(*args):
+        envs = list(scan(*args))
+        visits.append([envs, 0])
+        for env in envs:
+            visits[-1][1] += 1
+            yield env
+    monkeypatch.setattr(core, "_scan", counted)
+    failures = 0
+    for identity in sorted(REDUCIBLE):
+        for g in _reduced_tables():
+            visits.clear()
+            witness = identity_counterexample(g, identity)
+            assert witness == oracles.identity_violation_by_eval(g, identity)
+            [(envs, visited)] = visits
+            if witness is None:
+                assert visited == len(envs)
+            else:
+                assert envs[visited - 1] == witness[:-1]
+                failures += 1
+    assert failures > 100
 
 
 def _middles_or_error(fn, *args):

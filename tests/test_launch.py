@@ -41,8 +41,8 @@ def _launch(*argv: str) -> tuple[int, set[str]]:
     return int(code), set(modules)
 
 
-def _dataclasses_at_start() -> bool:
-    return _run("import sys; print('dataclasses' in sys.modules)") == ["True"]
+def _loaded_at_start(module: str) -> bool:
+    return _run(f"import sys; print({module!r} in sys.modules)") == ["True"]
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +61,25 @@ def test_check_loads_no_census_construction_isotopy_or_transform(table_file):
     assert code == 0
     assert {"rectangular.formats", "rectangular.properties"} <= modules
     assert modules & LAZY == set()
-    if not _dataclasses_at_start():
+    if not _loaded_at_start("dataclasses"):
         assert "dataclasses" not in modules
+
+
+def test_check_loads_no_json_and_only_the_modules_it_runs(table_file):
+    code, modules = _launch("check", "--property", "central", table_file)
+    assert code == 1
+    ours = {name for name in modules if name.startswith("rectangular.")}
+    assert ours <= {"rectangular.cli", "rectangular.formats", "rectangular.properties",
+                    "rectangular.core"}
+    if not _loaded_at_start("json"):
+        assert "json" not in modules
 
 
 def test_enumerate_loads_the_census_alone():
     code, modules = _launch("enumerate", "--class", "rectangular", "--order", "2")
     assert code == 0
     assert modules & LAZY == {"rectangular.census"}
-    if not _dataclasses_at_start():
+    if not _loaded_at_start("dataclasses"):
         assert "dataclasses" not in modules
 
 
