@@ -1,10 +1,9 @@
 """Command-line workbench over all modules.
 
-A launch imports ``formats``, ``properties`` and ``core`` up front; each
-subcommand imports the modules it calls (``census``, ``construct``,
-``isotopy``, ``transform``) when it runs, so a ``check`` loads none of them.
-The functions are called through their modules, where a caller that wraps
-them finds them.
+A launch imports only ``checklist``, the ``check`` table, so ``--help`` and a
+usage error load no other module of the package; each subcommand imports the
+modules it calls when it runs.  The functions are called through their
+modules, where a caller that wraps them finds them.
 
 Exit codes: 0 success / property true; 1 property false or no witness found;
 2 usage or malformed input; 3 capacity exceeded, a file whose order line is
@@ -17,8 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import formats, properties
-from .core import CapacityError, Mapping, Partition, PartitionSystem
+from .checklist import CHECKS
 
 
 def _read(path: str) -> str:
@@ -34,17 +32,20 @@ def _shift(value, delta: int):
     return value
 
 
-# check name -> (model, violation name), from the one list in properties
-_CHECKS = {name: row[:2] for name, row in properties.CHECKS.items()}
+# check name -> (model, violation name), from the one list in checklist
+_CHECKS = {name: row[:2] for name, row in CHECKS.items()}
 _PARSERS = {"groupoid": "parse_table", "graphpair": "parse_graph_pair",
             "matrices": "parse_matrix_pair", "partial": "parse_partial"}
 
 
 def _load(kind: str, path: str):
+    from . import formats
     return getattr(formats, _PARSERS[kind])(_read(path))
 
 
 def _cmd_check(args) -> int:
+    from . import properties
+
     kind, violation_name = _CHECKS[args.property]
     value = _load(kind, args.file)
     violation = getattr(properties, violation_name)
@@ -61,11 +62,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from . import transform
+    from . import formats, transform
 
     src = _load(args.source, args.file)
-    if args.source == "groupoid":
-        gp = transform.groupoid_to_graph_pair(src)
+    if args.source == "groupoid":  # a groupoid target is src itself
+        gp = None if args.target == "groupoid" else transform.groupoid_to_graph_pair(src)
     elif args.source == "graphpair":
         gp = src
     else:
@@ -86,13 +87,14 @@ def _ints(text: str, option: str) -> list[int]:
     values = []
     for tok in text.replace(",", " ").split():
         try:
-            values.append(formats.strict_int(tok))
+            values.append(_int(tok))
         except ValueError:
             raise ValueError(f"{option}: {tok!r} is not an integer") from None
     return values
 
 
-def _parse_partition(text: str, order: int, option: str) -> Partition:
+def _parse_partition(text: str, order: int, option: str):
+    from .core import Partition
     blocks = [tuple(_ints(part, option)) for part in text.split("|")]
     return Partition(order, tuple(blocks))
 
@@ -102,7 +104,8 @@ def _partition_order(text: str) -> int:
 
 
 def _cmd_construct(args) -> int:
-    from . import construct
+    from . import construct, formats
+    from .core import Mapping, PartitionSystem
 
     kind = args.kind
     one_based = args.one_based
@@ -147,14 +150,15 @@ def _cmd_construct(args) -> int:
 
 def _parse_order_spec(text: str) -> tuple[int, int | None]:
     try:
-        sides = [formats.strict_int(side) for side in text.split("x", 1)]
+        sides = [_int(side) for side in text.split("x", 1)]
     except ValueError:
         raise ValueError(f"--order must be N or NxM, got {text!r}") from None
     return sides[0], (sides[1] if len(sides) > 1 else None)
 
 
 def _cmd_enumerate(args) -> int:
-    from . import census
+    from . import census, formats
+    from .core import CapacityError
 
     order, second = _parse_order_spec(args.order)
     kind = args.klass
@@ -201,7 +205,7 @@ def _render_permutation(name: str, images, one_based: bool) -> str:
 
 
 def _cmd_isotopy(args) -> int:
-    from . import isotopy
+    from . import formats, isotopy
 
     g = formats.parse_table(_read(args.file_a))
     h = formats.parse_table(_read(args.file_b))
@@ -216,7 +220,7 @@ def _cmd_isotopy(args) -> int:
 
 
 def _cmd_transversal(args) -> int:
-    from . import isotopy
+    from . import formats, isotopy
 
     g = formats.parse_table(_read(args.file))
     t = isotopy.find_transversal(g)
@@ -230,6 +234,7 @@ def _cmd_transversal(args) -> int:
 
 
 def _int(text: str) -> int:
+    from . import formats
     return formats.strict_int(text)
 
 
@@ -333,6 +338,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    from .core import CapacityError
     try:
         return args.func(args)
     except CapacityError as exc:

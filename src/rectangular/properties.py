@@ -3,25 +3,25 @@ partial-array conditions.
 
 Every ``*_violation`` function returns the first witness tuple in a fixed
 scan order, or ``None``.  Witnesses are what the CLI prints when a check
-comes out false.  ``CHECKS`` lists every property ``check`` evaluates: its
-model, its violation and its predicate, by name.  The boolean predicates are
-built from it, with ``is_congruence``: each is whether its violation finds
-no witness.
+comes out false.  ``CHECKS``, from ``checklist``, lists every property
+``check`` evaluates: its model, its violation and its predicate, by name.
+The boolean predicates are built from it, with ``is_congruence``: each is
+whether its violation finds no witness.
 
 Most violations are one of three computations:
 
 * The equational ones (idempotence, associativity, centrality and the rest)
-  come from one table, ``NAMED_IDENTITIES``, which ``CHECKS`` takes in.
-  Each identity is checked by one evaluator, ``core.identity_counterexample``,
-  which ``FiniteGroup`` also uses for associativity.  It computes each side
-  as a sequence over the last variable (``bytes`` composed by
-  ``bytes.translate`` up to order 256, tuples gathered by
-  ``operator.itemgetter`` above), and scans the other variables in
-  alphabetical order, so the witness is the lexicographically first failing
-  tuple.  Where one of them occurs once, as a factor of a product with a
-  variable, as b does in ``(a*b)*(c*a)=a``, the scan skips each value of
-  it that gives a product an earlier value gave, which cannot hold the
-  first failure.
+  come from one table, ``NAMED_IDENTITIES``, which ``CHECKS`` takes in.  Each
+  identity is checked by one evaluator,
+  ``identities.identity_counterexample``, imported on the first call, which
+  ``FiniteGroup`` also uses for associativity.  It computes each side as a
+  sequence over the last variable (``bytes`` composed by ``bytes.translate``
+  up to order 256, tuples gathered by ``operator.itemgetter`` above), and
+  scans the other variables in alphabetical order, so the witness is the
+  lexicographically first failing tuple.  Where one of them occurs once, as a
+  factor of a product with a variable, as b does in ``(a*b)*(c*a)=a``, the
+  scan skips each value of it that gives a product an earlier value gave,
+  which cannot hold the first failure.
 * Unique two-step paths (p2, p4, matrix symmetry and ``derive_plus``) go
   through ``core.two_step_middles``, on graph pairs from ``core``'s model
   conversions.
@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 
+from .checklist import CHECKS, NAMED_IDENTITIES
 from .core import (
     BoolMatrix,
     GraphPair,
@@ -45,7 +46,6 @@ from .core import (
     PartialArray,
     bits_of,
     groupoid_to_graph_pair,
-    identity_counterexample,
     line_symbol_sets,
     matrices_to_graph_pair,
     transpose_bits,
@@ -131,31 +131,10 @@ def maximality_violation(g: Groupoid) -> tuple[int, int] | None:
     return None
 
 
-# The equational properties, keyed by their ``check`` name: the name of the
-# violation, the name of the predicate, and the identities checked in turn.
-# A violation returns the first failing tuple of the first identity that
-# fails; the violations are built below and bound under these names.
-_IDEMPOTENCE = "a*a=a"
-NAMED_IDENTITIES = {
-    "idempotent": ("idempotence_violation", "is_idempotent", (_IDEMPOTENCE,)),
-    "associative": ("associativity_violation", "is_associative", ("(a*b)*c=a*(b*c)",)),
-    "central": ("centrality_violation", "is_central", ("(x*y)*(y*z)=y",)),
-    "undirected-eq": ("undirected_eq_violation", "satisfies_undirected_eq",
-                      ("(a*b)*(c*a)=a",)),
-    "partitioned": ("partitioned_eqs_violation", "satisfies_partitioned_eqs",
-                    (_IDEMPOTENCE, "(a*b)*c=a*c")),
-    "dually-partitioned": ("dually_partitioned_eqs_violation",
-                           "satisfies_dually_partitioned_eqs", (_IDEMPOTENCE, "a*(b*c)=a*c")),
-    "left-reabsorption": ("left_reabsorption_violation", "satisfies_left_reabsorption",
-                          ("a*(a*b)=a*b",)),
-    "right-reabsorption": ("right_reabsorption_violation", "satisfies_right_reabsorption",
-                           ("(a*b)*b=a*b",)),
-}
-
-
 def _equational(name: str, identities: tuple[str, ...]):
     """The violation named name that checks identities in turn."""
     def violation(g: Groupoid) -> tuple[int, ...] | None:
+        from .identities import identity_counterexample
         for identity in identities:
             witness = identity_counterexample(g, identity)
             if witness is not None:
@@ -261,25 +240,6 @@ def congruence_violation(g: Groupoid, p: Partition) -> tuple[int, int, int, int]
                     if idx[t[b][a]] != idx[t[b][a2]]:
                         return (b, b, a, a2)
     return None
-
-
-# Every property ``check`` evaluates, keyed by its ``check`` name: the model
-# its file holds (a ``formats`` parser per model), the name of its
-# violation and the name of its predicate.
-CHECKS = {
-    "rectangular": ("groupoid", "rectangularity_violation", "is_rectangular"),
-    "p1": ("groupoid", "p1_violation", "satisfies_p1"),
-    "p2": ("graphpair", "p2_violation", "satisfies_p2"),
-    "p4": ("matrices", "p4_violation", "satisfies_p4"),
-    "matrix-symmetric": ("groupoid", "matrix_symmetry_violation", "is_matrix_symmetric"),
-    "full": ("groupoid", "fullness_violation", "is_full"),
-    "maximal": ("groupoid", "maximality_violation", "is_maximal"),
-    "partial-p1": ("partial", "partial_p1_violation", "is_partial_p1"),
-    "partial-latin": ("partial", "partial_latin_violation", "is_partial_latin"),
-    "blackburn": ("partial", "blackburn_violation", "has_blackburn"),
-    **{name: ("groupoid", violation, predicate)
-       for name, (violation, predicate, _) in NAMED_IDENTITIES.items()},
-}
 
 
 def _predicate(violation_name: str, name: str):

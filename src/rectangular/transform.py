@@ -19,7 +19,6 @@ from .core import (  # noqa: F401  (the conversions are re-exported)
     matrices_to_graph_pair,
     pair_groupoid,
 )
-from .properties import congruence_violation
 
 
 class ClosureError(ValueError):
@@ -33,6 +32,7 @@ class ClosureError(ValueError):
 def quotient(g: Groupoid, p: Partition) -> Groupoid:
     """The quotient table on the blocks of a congruence, indexed by least
     element.  The result need not be rectangular even when g is."""
+    from .properties import congruence_violation
     bad = congruence_violation(g, p)
     if bad is not None:
         a, a2, b, b2 = bad

@@ -19,12 +19,12 @@ from rectangular.core import (
     TRIVIAL,
     compose,
     dual_graph_pair,
-    identity_counterexample,
     make_groupoid,
     opposite,
     transpose,
 )
 from rectangular.construct import evans_central, rectangular_band
+from rectangular.identities import identity_counterexample
 from rectangular.isotopy import relabel
 
 import fixtures as fx

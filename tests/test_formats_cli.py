@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectangular import census, properties
+from rectangular import census, properties, transform
 from rectangular.cli import main
 from rectangular.construct import evans_central, rectangular_band
 from rectangular.core import BoolMatrix, GraphPair, PartialArray, make_groupoid
@@ -410,7 +410,12 @@ class TestCliConvert:
         path = table_file("full.gp", render_graph_pair(gp))
         assert main(["convert", "--from", "graphpair", "--to", "groupoid", path]) == 2
 
-    def test_normalization_pass(self, capsys, table_file):
+    def test_normalization_pass(self, capsys, monkeypatch, table_file):
+        # a groupoid-to-groupoid run renders the parsed table and builds no
+        # graph pair
+        def unused(g):
+            raise AssertionError("the normalization pass built a graph pair")
+        monkeypatch.setattr(transform, "groupoid_to_graph_pair", unused)
         path = table_file("x4.tbl", "4\n0 0 1 1\n2 2 3 3\n2 2 3 3\n0 0  1   1\n")
         assert main(["convert", "--from", "groupoid", "--to", "groupoid", path]) == 0
         assert capsys.readouterr().out == X4_TEXT

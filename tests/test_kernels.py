@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import rectangular
-from rectangular import census, cli, core, formats, isotopy, properties
+from rectangular import census, cli, core, formats, identities, isotopy, properties
 from rectangular.census import iter_rectangular_tables
 from rectangular.construct import (
     abelian_group,
@@ -44,8 +44,8 @@ from rectangular.core import (
     Mapping,
     PartialArray,
     Partition,
-    identity_counterexample,
 )
+from rectangular.identities import identity_counterexample
 from rectangular.transform import (
     graph_pair_to_groupoid,
     graph_pair_to_matrices,
@@ -148,7 +148,7 @@ def _reduced_tables() -> list[Groupoid]:
 
 @pytest.mark.parametrize("identity", sorted(REDUCIBLE))
 def test_skipping_scan_keeps_the_lex_first_witness(identity):
-    outer, last, sides = core._parse_identity(identity)
+    outer, last, sides = identities._parse_identity(identity)
     variable, partner_is_last = REDUCIBLE[identity]
     outcomes = set()
     for g in _reduced_tables() + TABLES[::7]:
@@ -159,7 +159,7 @@ def test_skipping_scan_keeps_the_lex_first_witness(identity):
     # on band(3, 3), whose lines and line products fall in 3 classes, the
     # scan keeps the expected variable at 3 values for each value of the
     # others, in lexicographic order
-    envs = list(core._scan(outer, last, sides, list(rectangular_band(3, 3).table)))
+    envs = list(identities._scan(outer, last, sides, list(rectangular_band(3, 3).table)))
     assert envs == sorted(set(envs))
     i = outer.index(variable)
     assert len(envs) == 3 * 9 ** (len(outer) - 1)
@@ -171,7 +171,7 @@ def test_skipping_scan_keeps_the_lex_first_witness(identity):
 def test_a_failing_check_scans_no_more_than_a_passing_one(monkeypatch):
     # the one lexicographic scan stops at the witness: a failing check
     # visits a prefix of the tuples a passing check visits, and no more
-    scan, visits = core._scan, []
+    scan, visits = identities._scan, []
 
     def counted(*args):
         envs = list(scan(*args))
@@ -179,7 +179,7 @@ def test_a_failing_check_scans_no_more_than_a_passing_one(monkeypatch):
         for env in envs:
             visits[-1][1] += 1
             yield env
-    monkeypatch.setattr(core, "_scan", counted)
+    monkeypatch.setattr(identities, "_scan", counted)
     failures = 0
     for identity in sorted(REDUCIBLE):
         for g in _reduced_tables():
@@ -333,7 +333,7 @@ def test_light_associativity_test_matches_the_literal_scan():
     outcomes = set()
     for g in tables:
         want = oracles.literal_identity_violation("associativity_violation", g) is None
-        assert core._is_associative(g.table) == want, g.table
+        assert identities._is_associative(g.table) == want, g.table
         outcomes.add((g.order, want))
     assert outcomes == {(1, True)} | {(n, w) for n in range(2, 6) for w in (True, False)}
 
