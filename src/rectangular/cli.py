@@ -32,8 +32,6 @@ def _shift(value, delta: int):
     return value
 
 
-# check name -> (model, violation name), from the one list in checklist
-_CHECKS = {name: row[:2] for name, row in CHECKS.items()}
 _PARSERS = {"groupoid": "parse_table", "graphpair": "parse_graph_pair",
             "matrices": "parse_matrix_pair", "partial": "parse_partial"}
 
@@ -46,7 +44,7 @@ def _load(kind: str, path: str):
 def _cmd_check(args) -> int:
     from . import properties
 
-    kind, violation_name = _CHECKS[args.property]
+    kind, violation_name, _ = CHECKS[args.property]
     value = _load(kind, args.file)
     violation = getattr(properties, violation_name)
     witness = violation(*value) if kind == "matrices" else violation(value)
@@ -255,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", parents=[common],
                              help="evaluate a property of a structure file")
-    p_check.add_argument("--property", required=True, choices=sorted(_CHECKS))
+    p_check.add_argument("--property", required=True, choices=sorted(CHECKS))
     p_check.add_argument("file")
     p_check.set_defaults(func=_cmd_check)
 

@@ -460,7 +460,9 @@ class Partition(Value):
         check_order(order)
         for block in blocks:
             check_elements(block, order, f"block {block}")
-        blocks = tuple(sorted(tuple(sorted(set(b))) for b in blocks))
+            if len(set(block)) < len(block):
+                raise ValueError(f"block {block} repeats an element")
+        blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
         seen = 0
         for block in blocks:
             if not block:

@@ -14,14 +14,8 @@ Most violations are one of three computations:
   come from one table, ``NAMED_IDENTITIES``, which ``CHECKS`` takes in.  Each
   identity is checked by one evaluator,
   ``identities.identity_counterexample``, imported on the first call, which
-  ``FiniteGroup`` also uses for associativity.  It computes each side as a
-  sequence over the last variable (``bytes`` composed by ``bytes.translate``
-  up to order 256, tuples gathered by ``operator.itemgetter`` above), and
-  scans the other variables in alphabetical order, so the witness is the
-  lexicographically first failing tuple.  Where one of them occurs once, as a
-  factor of a product with a variable, as b does in ``(a*b)*(c*a)=a``, the
-  scan skips each value of it that gives a product an earlier value gave,
-  which cannot hold the first failure.
+  ``FiniteGroup`` also uses for associativity; ``identities`` says how it
+  finds the lexicographically first failing tuple.
 * Unique two-step paths (p2, p4, matrix symmetry and ``derive_plus``) go
   through ``core.two_step_middles``, on graph pairs from ``core``'s model
   conversions.

@@ -202,6 +202,8 @@ def test_partition_normalization_and_validation():
         Partition(3, ((0, 1), (1, 2)))
     with pytest.raises(ValueError, match="cover"):
         Partition(3, ((0, 1),))
+    with pytest.raises(ValueError, match=re.escape("block (0, 0, 2) repeats an element")):
+        Partition(3, ((0, 0, 2), (1,)))
     for block in ((0, -1), (0, 3)):
         with pytest.raises(ValueError, match=re.escape(
                 f"block {block}: {block[1]} is outside 0..2")):

@@ -467,6 +467,12 @@ class TestCliConstruct:
         assert capsys.readouterr() == (
             "", "error: block (0, -1): -1 is outside 0..1\n")
 
+    def test_partition_with_a_repeated_element_exit_two(self, capsys):
+        assert main(["construct", "partition", "--base", "0,1|2,3",
+                     "--companions", "0,0,2|1,3;0,2|1,3"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: block (0, 0, 2) repeats an element\n")
+
     def test_factorization(self, capsys):
         assert main(["construct", "factorization", "--cyclic", "6",
                      "--h", "0,3", "--k", "0,1,2"]) == 0

@@ -127,6 +127,22 @@ def test_commands_without_a_check_load_no_predicates(command, table_file):
     assert modules & {"rectangular.properties", "rectangular.identities"} == set()
 
 
+@pytest.mark.parametrize("command, want, module", [
+    (("check", "--property", "associative", "{table}"), 1, "rectangular.properties"),
+    (("enumerate", "--class", "rectangular", "--order", "2"), 0, "rectangular.census")],
+    ids=["check", "enumerate"])
+def test_importtime_sees_the_modules_a_command_imports(command, want, module, table_file):
+    # a submodule loaded by a plain import is timed; one loaded through
+    # importlib.import_module would be missing from the report
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "rectangular.cli",
+                          *(arg.format(table=table_file) for arg in command)],
+                         env=_env(), capture_output=True, text=True)
+    assert out.returncode == want
+    timed = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert module in timed
+
+
 # exit code and sha256 of stdout, a NUL byte and stderr of a launch with
 # COLUMNS=80: the help and usage text must not change with what a launch
 # imports.  argparse's layout differs between Python versions; these are
