@@ -43,7 +43,6 @@ from itertools import combinations, permutations, product
 from math import comb, factorial, isqrt, prod
 
 from .core import (
-    CapacityError,
     Groupoid,
     Value,
     _unchecked,
@@ -60,8 +59,7 @@ RECT_COUNT_BOUND = 5      # labeled counting, by the row transfer
 RECT_ISO_BOUND = 4        # isomorphism classes
 RECT_ISOTOPY_BOUND = 4    # isotopy classes
 ITER_BOUND = 5            # streaming generator
-CENTRAL_BOUND = 16
-ORBIT_BOUND = 10 ** 5     # largest move list of the orderly central search
+CENTRAL_BOUND = 9         # the largest square whose 3! 6! relabelings fit a move list
 BLOW_UP_BOUND = 10 ** 4   # band order n*m of the blow-up count
 
 
@@ -165,12 +163,16 @@ def _rect_flats(n: int, triples=()):
     yield from fill(0, 0, 0, _moves(n, triples))
 
 
+def _groupoids(n: int, flats):
+    """The flat order-n tables as groupoids, unchecked: the search yields valid ones."""
+    starts = range(0, n * n, n)
+    return (_unchecked(Groupoid, n, tuple([flat[i:i + n] for i in starts])) for flat in flats)
+
+
 def iter_rectangular_tables(n: int):
     """Stream every rectangular groupoid of order n in lex table order."""
     check_order(n, bound=ITER_BOUND, limit="streaming is")
-    starts = range(0, n * n, n)
-    return (_unchecked(Groupoid, n, tuple([flat[i:i + n] for i in starts]))
-            for flat in _rect_flats(n))
+    return _groupoids(n, _rect_flats(n))
 
 
 def _column_partitions(n: int) -> list[tuple[int, ...]]:
@@ -251,9 +253,7 @@ def enumerate_rectangular(n: int, mode: str = "labeled", jobs: int = 1) -> Censu
         perms = list(permutations(range(n)))
         triples = ([(s, s, s) for s in perms] if mode == "isomorphism"
                    else product(perms, repeat=3))
-    starts = range(0, n * n, n)
-    tables = tuple(_unchecked(Groupoid, n, tuple([f[i:i + n] for i in starts]))
-                   for f in _rect_flats(n, triples))
+    tables = tuple(_groupoids(n, _rect_flats(n, triples)))
     return CensusResult(n, mode, len(tables), tables)
 
 
@@ -366,7 +366,7 @@ def _loops_first_min(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
 
     Any isomorphism between two loops-first solutions maps loops to loops, so
     equal minima characterise isomorphic solutions exactly.  The census calls
-    it on every solution the search returns.  Cells are compared in
+    it on each survivor of the orderly search.  Cells are compared in
     growing-corner order, layer d being (i, d) for i < d, then (d, j) for j
     <= d, so a partial relabeling fixes a prefix of the cell sequence and a
     branch is cut once its prefix exceeds the best sequence's.
@@ -410,11 +410,10 @@ def _central_table(rows: tuple[int, ...]) -> Groupoid:
     return _unchecked(Groupoid, len(rows), table)  # every middle is a node
 
 
-def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusResult:
+def enumerate_central(n: int, jobs: int = 1) -> CensusResult:
     """Census of central groupoids of order n, up to isomorphism.
 
     Orders must be perfect squares; non-squares report zero solutions.
-    Order 16 is far beyond desk scale and must be requested with long_run.
 
     Row 0 is its loop plus m - 1 non-loops (``_row_candidates``), and
     Sym(m..n-1) moves any such row to any other, so the search runs one
@@ -423,11 +422,10 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
     complement J - B as 0/1 rows, where this row is the least too, so the
     least solution of each class, the one that survives, starts with it.
     (On B the least row would be the last candidate, from which the
-    search forces late and makes many times the calls.)  Where the
-    loops-first relabelings exceed ``ORBIT_BOUND`` (order 16: no move
-    list fits Sym(4) x Sym(12)) the search is not orderly and returns
-    every solution.  Either way ``_loops_first_min`` of each solution
-    gives its class's representative.  jobs is checked but has no effect.
+    search forces late and makes many times the calls.)  The search is
+    bounded at order 9: at order 16 no move list fits Sym(4) x Sym(12).
+    ``_loops_first_min`` of each survivor gives its class's
+    representative.  jobs is checked but has no effect.
     """
     check_order(n)
     if jobs < 1:
@@ -437,15 +435,11 @@ def enumerate_central(n: int, long_run: bool = False, jobs: int = 1) -> CensusRe
         return CensusResult(n, "isomorphism", 0, (),
                             note="no central groupoids: order is not a perfect square")
     check_order(n, bound=CENTRAL_BOUND, limit="central census is")
-    if n == 16 and not long_run:
-        raise CapacityError("order 16 is far beyond desk scale; pass long_run or --long-run")
 
-    relabelings = ()
-    if factorial(m) * factorial(n - m) <= ORBIT_BOUND:
-        relabelings = [lo + hi for lo in permutations(range(m))
-                       for hi in permutations(range(m, n))]
+    relabelings = [lo + hi for lo in permutations(range(m))
+                   for hi in permutations(range(m, n))]
     solutions = _central_solutions(m, _row_candidates(m)[0][0], relabelings)
-    reps = {_loops_first_min(rows, m) for rows in solutions}
+    reps = [_loops_first_min(rows, m) for rows in solutions]
     tables = sorted(map(_central_table, reps), key=Groupoid.flat)
     return CensusResult(n, "isomorphism", len(tables), tuple(tables))
 

@@ -91,19 +91,14 @@ def _ints(text: str, option: str) -> list[int]:
     return values
 
 
-def _parse_partition(text: str, order: int, option: str):
-    from .core import Partition
-    blocks = [tuple(_ints(part, option)) for part in text.split("|")]
-    return Partition(order, tuple(blocks))
-
-
-def _partition_order(text: str) -> int:
-    return sum(len(_ints(part, "--base")) for part in text.split("|"))
+def _blocks(text: str, option: str) -> tuple[tuple[int, ...], ...]:
+    """The "|"-separated blocks of integers given to option."""
+    return tuple(tuple(_ints(part, option)) for part in text.split("|"))
 
 
 def _cmd_construct(args) -> int:
     from . import construct, formats
-    from .core import Mapping, PartitionSystem
+    from .core import Mapping, Partition, PartitionSystem
 
     kind = args.kind
     one_based = args.one_based
@@ -128,9 +123,9 @@ def _cmd_construct(args) -> int:
               else construct.right_split_extension)
         g = op(a, b, f, gm)
     elif kind == "partition":
-        order = _partition_order(args.base)
-        base = _parse_partition(args.base, order, "--base")
-        companions = tuple(_parse_partition(part, order, "--companions")
+        blocks = _blocks(args.base, "--base")
+        base = Partition(sum(map(len, blocks)), blocks)
+        companions = tuple(Partition(base.order, _blocks(part, "--companions"))
                            for part in args.companions.split(";"))
         gp = construct.partition_construction(PartitionSystem(base, companions))
         sys.stdout.write(formats.render_graph_pair(gp))
@@ -160,8 +155,6 @@ def _cmd_enumerate(args) -> int:
 
     order, second = _parse_order_spec(args.order)
     kind = args.klass
-    if args.long_run and kind != "central":
-        raise ValueError("--long-run applies to the central census only")
     if kind == "band-blowups":
         if second is None:
             raise ValueError("band-blowups needs --order NxM (band side sizes)")
@@ -176,7 +169,7 @@ def _cmd_enumerate(args) -> int:
     elif kind == "central":
         if args.up_to not in (None, "iso"):
             raise ValueError("central census is always up to isomorphism")
-        result = census.enumerate_central(order, long_run=args.long_run)
+        result = census.enumerate_central(order)
     else:
         mode = {"labeled": "labeled", "iso": "isomorphism",
                 "isotopy": "isotopy"}[args.up_to or "iso"]
@@ -309,9 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="iso by default; band-blowups takes labeled only.  "
                              "Rectangular: labeled tables are listed to order 3 and "
                              "counted to order 5, iso and isotopy classes go to "
-                             "order 4")
-    p_enum.add_argument("--long-run", dest="long_run", action="store_true",
-                        help="allow the order-16 central census (--class central only)")
+                             "order 4; central classes go to order 9")
     p_enum.add_argument("--emit", default="count",
                         choices=("count", "tables", "json"))
     p_enum.set_defaults(func=_cmd_enumerate)

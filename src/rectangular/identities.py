@@ -249,16 +249,19 @@ def _is_associative(table) -> bool:
     multiplication; it grows by the new generator, the old elements times
     it, and the new elements times every generator, so each product is
     taken once.  A group needs at most log2(n) + 1 generators, a left-zero
-    band x*y = x all n.
+    band x*y = x all n.  The law reads x only through row x, so each
+    generator is tested at the first x of each distinct row alone: on
+    band(n, m) that is n rows, and on band(1, m) one.
     """
     t, _, compose = _sequences(table)
     n = len(t)
+    rows = _firsts(t)
     closure: set[int] = set()
     generators: list[int] = []
     for a in range(n):
         if a in closure:
             continue
-        if any(compose(x, t[a]) != t[t[x][a]] for x in range(n)):
+        if any(compose(x, t[a]) != t[t[x][a]] for x in rows):
             return False
         generators.append(a)
         new = {a, *(t[e][a] for e in closure)} - closure

@@ -16,6 +16,7 @@ from collections import Counter
 from itertools import permutations
 
 from .core import (
+    CapacityError,
     Groupoid,
     IsotopyTriple,
     Permutation,
@@ -27,6 +28,7 @@ from .core import (
 
 ISOTOPY_SEARCH_BOUND = 6
 CANONICAL_FORM_BOUND = 9
+TRANSVERSAL_STEP_BOUND = 10 ** 7  # column steps; proving Z_12 has none takes 4.1e7
 
 
 def apply_isotopy(g: Groupoid, t: IsotopyTriple) -> Groupoid:
@@ -159,11 +161,14 @@ def find_transversal(g: Groupoid) -> Transversal | None:
     Depth-first over rows with column/symbol bitmasks, as a loop with one
     column cursor per row, so no order is too deep for the stack; returns
     the first selection in row-major order, so the result is deterministic.
+    The cursors' steps, one per column examined and one per row left
+    without a choice, are counted: past ``TRANSVERSAL_STEP_BOUND`` of them
+    the search raises CapacityError.
     """
     n = g.order
     cols = syms = (1 << n) - 1  # the free columns and symbols
     picked = [-1] * n  # the column chosen in each row, -1 before the first
-    row = 0
+    row = steps = 0
     while 0 <= row < n:
         trow = g.table[row]
         c = picked[row]
@@ -173,6 +178,10 @@ def find_transversal(g: Groupoid) -> Transversal | None:
         c += 1
         while c < n and not (cols >> c & 1 and syms >> trow[c] & 1):
             c += 1
+        steps += c - picked[row]
+        if steps > TRANSVERSAL_STEP_BOUND:
+            raise CapacityError(f"transversal search is bounded at "
+                                f"{TRANSVERSAL_STEP_BOUND} column steps")
         if c < n:
             picked[row] = c
             cols ^= 1 << c

@@ -358,11 +358,12 @@ class TestCentral:
             assert r.count == 0 and r.tables == ()
             assert "square" in r.note
 
-    def test_order_16_needs_long_run_flag(self):
-        with pytest.raises(CapacityError, match="long_run"):
-            enumerate_central(16)
-        with pytest.raises(CapacityError):
-            enumerate_central(25, long_run=True)
+    def test_squares_past_order_nine_exceed_the_bound(self):
+        assert census.CENTRAL_BOUND == 9
+        for n in (16, 25):
+            with pytest.raises(CapacityError,
+                               match=f"^central census is bounded at order 9, got {n}$"):
+                enumerate_central(n)
 
     def test_determinism(self):
         assert enumerate_central(4) == enumerate_central(4, jobs=2)
@@ -438,12 +439,15 @@ class TestCentral:
         assert len(census._central_solutions(m, first[0], loops_first)) == len(reps)
 
     def test_orderly_census_matches_the_unpruned_search_from_every_first_row(self):
-        # every C(n-1, m-1) first row, those with a second loop included
-        for n in (1, 4):
+        # every C(n-1, m-1) first row to order 4, those with a second loop
+        # included; at order 9 the least first row, whose orbit holds every
+        # first row with solutions
+        for n in (1, 4, 9):
             m = isqrt(n)
+            firsts = ([census._row_candidates(m)[0][0]] if n == 9 else
+                      [1 | mask_of(rest) for rest in combinations(range(1, n), m - 1)])
             slow = {census._loops_first_min(rows, m)
-                    for rest in combinations(range(1, n), m - 1)
-                    for rows in census._central_solutions(m, 1 | mask_of(rest))}
+                    for first in firsts for rows in census._central_solutions(m, first)}
             tables = sorted((Groupoid(n, two_step_middles(rows, rows)[0]) for rows in slow),
                             key=Groupoid.flat)
             assert enumerate_central(n).tables == tuple(tables)
@@ -471,12 +475,6 @@ class TestCentral:
         for m, sample in ((2, order_4), (3, order_9)):
             for rows in sample:
                 assert census._loops_first_min(rows, m) == least(rows, m)
-
-    def test_groups_too_large_for_a_move_list_are_canonicalized_per_solution(
-            self, monkeypatch):
-        orderly = [enumerate_central(n) for n in (4, 9)]
-        monkeypatch.setattr(census, "ORBIT_BOUND", 0)
-        assert [enumerate_central(n) for n in (4, 9)] == orderly
 
     def test_each_solution_lies_in_the_orbit_of_exactly_one_survivor(self, monkeypatch):
         # the survivors are what the census's own search returns; every

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectangular import census, properties, transform
+from rectangular import census, isotopy, properties, transform
 from rectangular.cli import main
 from rectangular.construct import evans_central, rectangular_band
 from rectangular.core import BoolMatrix, GraphPair, PartialArray, make_groupoid
@@ -589,7 +590,7 @@ class TestCliEnumerate:
                        f"counted to order {census.RECT_COUNT_BOUND}",
                        f"iso and isotopy classes go to order {census.RECT_ISO_BOUND}",
                        f"N*M <= {census.BLOW_UP_BOUND}",
-                       f"the order-{census.CENTRAL_BOUND} central census"):
+                       f"central classes go to order {census.CENTRAL_BOUND}"):
             assert phrase in text
 
     def test_count(self, capsys):
@@ -692,20 +693,18 @@ class TestCliEnumerate:
                      "--up-to", "labeled"]) == 3
         assert main(["enumerate", "--class", "central", "--order", "16"]) == 3
 
-    def test_order_16_capacity_names_the_cli_flag(self, capsys):
+    def test_order_16_exits_three_at_once_and_long_run_is_unrecognized(self, capsys):
+        # no central census runs past its bound: order 16 is refused before
+        # any search, and the CLI has no flag that lifts the bound
+        start = time.perf_counter()
         assert main(["enumerate", "--class", "central", "--order", "16"]) == 3
+        assert time.perf_counter() - start < 1
         assert capsys.readouterr() == (
-            "", "capacity: order 16 is far beyond desk scale; pass long_run or --long-run\n")
-        assert main(["enumerate", "--class", "central", "--order", "16", "--long_run"]) == 2
+            "", "capacity: central census is bounded at order 9, got 16\n")
+        assert main(["enumerate", "--class", "central", "--order", "16", "--long-run"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --long_run" in captured.err
-
-    @pytest.mark.parametrize("klass, order", [("rectangular", "2"), ("band-blowups", "3x4")])
-    def test_long_run_outside_central_exit_two(self, capsys, klass, order):
-        assert main(["enumerate", "--class", klass, "--order", order, "--long-run"]) == 2
-        assert capsys.readouterr() == (
-            "", "error: --long-run applies to the central census only\n")
+        assert "unrecognized arguments: --long-run" in captured.err
 
     def test_jobs_do_not_change_output(self, capsys):
         # the CLI has no --jobs; its census JSON is the library's at any jobs
@@ -821,6 +820,18 @@ class TestCliIsotopyAndTransversal:
         assert [r for r, _ in cells] == list(range(1024))
         assert sorted(c for _, c in cells) == list(range(1024))
         assert len({g.table[r][c] for r, c in cells}) == 1024
+
+    def test_transversal_past_its_step_bound_exit_three(self, capsys, table_file,
+                                                        monkeypatch):
+        # Z_8 has no transversal, and its search takes 33 345 column steps
+        monkeypatch.setattr(isotopy, "TRANSVERSAL_STEP_BOUND", 1000)
+        z8 = make_groupoid(8, [(a + b) % 8 for a in range(8) for b in range(8)])
+        path = table_file("z8.tbl", render_table(z8))
+        start = time.perf_counter()
+        assert main(["transversal", path]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == (
+            "", "capacity: transversal search is bounded at 1000 column steps\n")
 
     def test_transversal_one_based(self, capsys, table_file):
         path = table_file("t5a.tbl", render_table(fx.T5A))

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from rectangular import isotopy
 from rectangular.core import (
     CapacityError,
     IsotopyTriple,
@@ -273,6 +274,18 @@ class TestTransversal:
             t = find_transversal(g)
             assert t is not None
             assert t.cells == tuple((i, i) for i in range(g.order))
+
+    def test_the_search_stops_past_its_step_bound(self, monkeypatch):
+        # Z_8 has no transversal: 33 345 column steps, each column examined
+        # and each row left without a choice, prove it
+        z8 = make_groupoid(8, [(a + b) % 8 for a in range(8) for b in range(8)])
+        assert find_transversal(z8) is None
+        monkeypatch.setattr(isotopy, "TRANSVERSAL_STEP_BOUND", 33345)
+        assert find_transversal(z8) is None
+        monkeypatch.setattr(isotopy, "TRANSVERSAL_STEP_BOUND", 33344)
+        with pytest.raises(CapacityError,
+                           match="^transversal search is bounded at 33344 column steps$"):
+            find_transversal(z8)
 
     def test_latin_square_has_one(self):
         latin = make_groupoid(3, [0, 1, 2, 1, 2, 0, 2, 0, 1])

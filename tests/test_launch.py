@@ -155,7 +155,7 @@ CLI_TEXT_SHA256 = {
     ("convert", "--help"):
         (0, "88b48ae87b944be4afc0e37feef89a65b95a13802d21a2c8b924342dafe26c91"),
     ("enumerate", "--help"):
-        (0, "83471a77abe8f06a1801f23d6126221ba2c4b45cec04f1f41168ba42e564a6a7"),
+        (0, "1d647fc773cb1b1a0fc6da3d000312575b090959f56d75c8ba4e4fd9c66cce3a"),
     ("construct", "--help"):
         (0, "83de50b0e13cfee970de4bb6d78d8ba8555acadc68976afa17571ada77a0ce40"),
     ("construct", "band", "--help"):
