@@ -33,7 +33,10 @@ relabelings that keep the loops first, Sym(0..m-1) x Sym(m..n-1), and the
 search is orderly by the same kernel: relabeling the complement J - B,
 flat and 0/1, by p is the move alpha = beta = p, gamma the identity, so
 after each row ``_still_live`` cuts every branch that some relabeling
-already makes smaller, and one solution per class survives.  There is no
+already makes smaller, and one solution per class survives.  The survivor
+is the class's representative: the greatest B, that is the least
+complement J - B read row-major, under the loops-first relabelings; the
+census lists the tables in lex order of their flat table.  There is no
 worker pool (``jobs`` is checked but has no effect).
 """
 
@@ -360,46 +363,6 @@ def _central_solutions(m: int, first_row: int, relabelings=()) -> list[tuple[int
     return out
 
 
-def _loops_first_min(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Minimum relabeling of a loops-first matrix over the permutations that
-    keep loops first: the class representative of its orbit.
-
-    Any isomorphism between two loops-first solutions maps loops to loops, so
-    equal minima characterise isomorphic solutions exactly.  The census calls
-    it on each survivor of the orderly search.  Cells are compared in
-    growing-corner order, layer d being (i, d) for i < d, then (d, j) for j
-    <= d, so a partial relabeling fixes a prefix of the cell sequence and a
-    branch is cut once its prefix exceeds the best sequence's.
-    """
-    n = m * m
-    best: list[int] = []
-    best_p: list[int] = []
-    p: list[int] = []
-    prefix: list[int] = []
-
-    def dfs(d: int) -> None:
-        nonlocal best, best_p
-        if d == n:
-            if not best or prefix < best:
-                best, best_p = prefix.copy(), p.copy()
-            return
-        lo, hi = (0, m) if d < m else (m, n)
-        for orig in range(lo, hi):
-            if orig in p:
-                continue
-            p.append(orig)
-            prefix.extend([rows[p[i]] >> orig & 1 for i in range(d)])
-            prefix.extend([rows[orig] >> p[j] & 1 for j in range(d + 1)])
-            if not best or prefix <= best[:len(prefix)]:
-                dfs(d + 1)
-            del prefix[len(prefix) - 2 * d - 1:]
-            p.pop()
-
-    dfs(0)
-    return tuple(mask_of(j for j in range(n) if rows[best_p[i]] >> best_p[j] & 1)
-                 for i in range(n))
-
-
 def _central_table(rows: tuple[int, ...]) -> Groupoid:
     """The central groupoid of a BB = J matrix: a*b is the middle of the
     unique path a -> c -> b in the graph of B (Knuth 1970)."""
@@ -424,8 +387,10 @@ def enumerate_central(n: int, jobs: int = 1) -> CensusResult:
     (On B the least row would be the last candidate, from which the
     search forces late and makes many times the calls.)  The search is
     bounded at order 9: at order 16 no move list fits Sym(4) x Sym(12).
-    ``_loops_first_min`` of each survivor gives its class's
-    representative.  jobs is checked but has no effect.
+    The survivor of each class is its representative: the greatest B,
+    that is the least complement J - B read row-major, under the
+    loops-first relabelings.  The tables are listed in lex order of their
+    flat table.  jobs is checked but has no effect.
     """
     check_order(n)
     if jobs < 1:
@@ -439,8 +404,7 @@ def enumerate_central(n: int, jobs: int = 1) -> CensusResult:
     relabelings = [lo + hi for lo in permutations(range(m))
                    for hi in permutations(range(m, n))]
     solutions = _central_solutions(m, _row_candidates(m)[0][0], relabelings)
-    reps = [_loops_first_min(rows, m) for rows in solutions]
-    tables = sorted(map(_central_table, reps), key=Groupoid.flat)
+    tables = sorted(map(_central_table, solutions), key=Groupoid.flat)
     return CensusResult(n, "isomorphism", len(tables), tuple(tables))
 
 

@@ -8,7 +8,9 @@ census's former placement engine, ``_placements`` with its cell check
 options, keeping each symbol's row and column masks.  It produced the pinned
 blow-up counts, which ``blow_up_count_by_search`` recounts with it, and
 ``rect_flats_by_placement`` is the reference for the census's row-major
-rectangular search.
+rectangular search.  Likewise ``loops_first_min`` is the central census's
+former representative walk over bitset rows, kept as the canonical form
+that compares the orderly census with its unpruned search.
 """
 
 import warnings
@@ -23,6 +25,7 @@ from rectangular.core import (
     PartialArray,
     flat_isotopes,
     line_symbol_sets,
+    mask_of,
     transpose_bits,
 )
 
@@ -326,6 +329,89 @@ def loops_first_orbit(rows, m: int) -> set[tuple[int, ...]]:
     ident = tuple(range(n))
     perms = [lo + hi for lo in permutations(range(m)) for hi in permutations(range(m, n))]
     return set(flat_isotopes(n, [(p, p, ident) for p in perms])(flat_matrix(rows)))
+
+
+def loops_first_min(rows: tuple[int, ...], m: int) -> tuple[int, ...]:
+    """Minimum relabeling of a loops-first matrix over the permutations that
+    keep loops first: the class representative of its orbit.
+
+    Any isomorphism between two loops-first solutions maps loops to loops, so
+    equal minima characterise isomorphic solutions exactly.  Cells are
+    compared in growing-corner order, layer d being (i, d) for i < d, then
+    (d, j) for j <= d, so a partial relabeling fixes a prefix of the cell
+    sequence and a branch is cut once its prefix exceeds the best sequence's.
+    """
+    n = m * m
+    best: list[int] = []
+    best_p: list[int] = []
+    p: list[int] = []
+    prefix: list[int] = []
+
+    def dfs(d: int) -> None:
+        nonlocal best, best_p
+        if d == n:
+            if not best or prefix < best:
+                best, best_p = prefix.copy(), p.copy()
+            return
+        lo, hi = (0, m) if d < m else (m, n)
+        for orig in range(lo, hi):
+            if orig in p:
+                continue
+            p.append(orig)
+            prefix.extend([rows[p[i]] >> orig & 1 for i in range(d)])
+            prefix.extend([rows[orig] >> p[j] & 1 for j in range(d + 1)])
+            if not best or prefix <= best[:len(prefix)]:
+                dfs(d + 1)
+            del prefix[len(prefix) - 2 * d - 1:]
+            p.pop()
+
+    dfs(0)
+    return tuple(mask_of(j for j in range(n) if rows[best_p[i]] >> best_p[j] & 1)
+                 for i in range(n))
+
+
+def central_matrices_by_row_subsets(m: int):
+    """Yield every order-m*m 0/1 matrix B with BB = J and loops exactly at
+    0..m-1, each as its tuple of rows, a row being the frozenset of its
+    columns.
+
+    BB = J says that the rows indexed by row i, line i, tile the columns;
+    every row an m-subset, that is the same as line i's rows being pairwise
+    disjoint.  So the search takes m-subsets as rows, row i holding i exactly
+    when i < m, and keeps each line's set rows pairwise disjoint, so that a
+    complete line tiles the columns.  An unset row must miss every set row
+    of each line it joins; the next row set is an unset row with the fewest
+    subsets left, so a line with one unset row forces that row, its only
+    subset being the columns the line misses.
+    """
+    n = m * m
+    subsets = [set(c) for c in combinations(range(n), m)]
+    candidates = [[s for s in subsets if (i in s) == (i < m)] for i in range(n)]
+    rows: list[set | None] = [None] * n
+
+    def search():
+        blocked = {t: set() for t in range(n) if rows[t] is None}
+        for line in rows:
+            if line is None:
+                continue
+            members = [rows[j] for j in line if rows[j] is not None]
+            seen = set().union(*members)
+            if len(seen) != m * len(members):
+                return
+            for j in line:
+                if rows[j] is None:
+                    blocked[j] |= seen
+        if not blocked:
+            yield tuple(map(frozenset, rows))
+            return
+        options = {t: [s for s in candidates[t] if not s & b] for t, b in blocked.items()}
+        t = min(options, key=lambda t: len(options[t]))
+        for s in options[t]:
+            rows[t] = s
+            yield from search()
+        rows[t] = None
+
+    yield from search()
 
 
 def isotopy_reps_by_merging(iso_reps) -> tuple[Groupoid, ...]:

@@ -21,10 +21,10 @@ from rectangular.core import (
     Groupoid,
     Permutation,
     flat_isotopes,
+    line_symbol_sets,
     make_groupoid,
     mask_of,
     opposite,
-    two_step_middles,
 )
 from rectangular.construct import evans_central
 from rectangular.isotopy import are_isomorphic, are_isotopic, canonical_form, relabel
@@ -46,7 +46,7 @@ ORDER_3_ISOTOPY = 9
 ORDER_4_LABELED = 42676
 ORDER_4_ISO = 1864
 CENTRAL_4_CLASSES = 1
-CENTRAL_9_LABELED = 15840  # loops-first solutions over all 28 first rows
+CENTRAL_9_LABELED = 15840  # loops-first solutions over all 28 first rows, by two searches
 
 
 @lru_cache(maxsize=None)
@@ -377,16 +377,19 @@ class TestCentral:
 
     def test_search_matches_brute_force_at_order_four(self):
         # for every first row, the brute-force matrices with loops exactly at
-        # {0, 1} and that row first, in sorted order
+        # {0, 1} and that row first, in sorted order; over all first rows,
+        # the row-subset search, which shares no census code
         labeled = _bb_equals_j_order_4()
-        found = 0
+        found = []
         for rest in combinations(range(1, 4), 1):
             row = 1 | mask_of(rest)
             want = sorted(rows for rows in labeled if rows[0] == row
                           and [i for i in range(4) if rows[i] >> i & 1] == [0, 1])
             assert census._central_solutions(2, row) == want
-            found += len(want)
-        assert found == 2
+            found += want
+        assert len(found) == 2
+        assert sorted(tuple(map(mask_of, rows))
+                      for rows in oracles.central_matrices_by_row_subsets(2)) == sorted(found)
 
     def test_order_nine_search_is_sorted_and_squares_to_j(self):
         m, n = 3, 9
@@ -425,6 +428,7 @@ class TestCentral:
         group = factorial(m) * factorial(n - m)  # 4320 loops-first relabelings
         assert sum(group // oracles.automorphism_count_by_idempotents(g)
                    for g in reps) == CENTRAL_9_LABELED
+        assert sum(1 for _ in oracles.central_matrices_by_row_subsets(m)) == CENTRAL_9_LABELED
         first = census._row_candidates(m)[0]
         solutions = census._central_solutions(m, first[0])
         assert len(first) == 15
@@ -446,11 +450,12 @@ class TestCentral:
             m = isqrt(n)
             firsts = ([census._row_candidates(m)[0][0]] if n == 9 else
                       [1 | mask_of(rest) for rest in combinations(range(1, n), m - 1)])
-            slow = {census._loops_first_min(rows, m)
+            slow = {oracles.loops_first_min(rows, m)
                     for first in firsts for rows in census._central_solutions(m, first)}
-            tables = sorted((Groupoid(n, two_step_middles(rows, rows)[0]) for rows in slow),
-                            key=Groupoid.flat)
-            assert enumerate_central(n).tables == tuple(tables)
+            fast = [oracles.loops_first_min(line_symbol_sets(g.table)[0], m)
+                    for g in enumerate_central(n).tables]
+            assert len(fast) == len(slow)
+            assert set(fast) == slow
 
     def test_loops_first_min_is_the_least_corner_sequence(self):
         # brute force over all of Sym(0..m-1) x Sym(m..n-1): the relabeling
@@ -474,14 +479,15 @@ class TestCentral:
         assert len(order_4) == 2 and len(order_9) == 11
         for m, sample in ((2, order_4), (3, order_9)):
             for rows in sample:
-                assert census._loops_first_min(rows, m) == least(rows, m)
+                assert oracles.loops_first_min(rows, m) == least(rows, m)
 
     def test_each_solution_lies_in_the_orbit_of_exactly_one_survivor(self, monkeypatch):
         # the survivors are what the census's own search returns; every
         # solution of the unpruned search, from every first row (those with
         # a second loop included), lies in the orbit of exactly one, and
         # each survivor's complement J - B is the least of its orbit as a
-        # flat 0/1 tuple, so the survivor itself is the greatest
+        # flat 0/1 tuple, so the survivor itself is the greatest; the
+        # census's tables are the survivors', in flat order
         search = census._central_solutions
         survivors = {}
 
@@ -491,7 +497,10 @@ class TestCentral:
         monkeypatch.setattr(census, "_central_solutions", spy)
         for n in (4, 9):
             m = isqrt(n)
-            assert enumerate_central(n).count == len(survivors[m])
+            result = enumerate_central(n)
+            assert result.count == len(survivors[m])
+            assert result.tables == tuple(sorted(map(census._central_table, survivors[m]),
+                                                 key=Groupoid.flat))
             orbits = [oracles.loops_first_orbit(rows, m) for rows in survivors[m]]
             assert list(map(oracles.flat_matrix, survivors[m])) == list(map(max, orbits))
             for rest in combinations(range(1, n), m - 1):

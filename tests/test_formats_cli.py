@@ -764,8 +764,8 @@ CENSUS_JSON_SHA256 = {
     ("rectangular", "isotopy", 3): "47d438b334696cbde9da62455bfc53931195670ae7e3190dbafcda26b8ae08b0",
     ("rectangular", "isotopy", 4): "a73a2d3e41c6b97e7e27d305e55df25297310008f070f8e30bd2e94dd36a857a",
     ("central", "iso", 1): "cc80fe4f6435e92fb9497cf044a58cf121ba565769f3690cb6b8a600c899819d",
-    ("central", "iso", 4): "7adbae69032638daced0c795fd06d6fb304f0bf9c051c6c23953ed260a7a14dd",
-    ("central", "iso", 9): "6c4bc6385a4434f65175ce67e9bf815cee4f3d711d8243aa5cc85e4a70a4eb88",
+    ("central", "iso", 4): "72638b06a6d7bfafa7b552d053bccef299d8e647cd345cd450a502073daa5220",
+    ("central", "iso", 9): "b2dcd93c98f53892cbd1982f7d394f69859ea9415e365631d56b903335f586e9",
     ("band-blowups", "labeled", "2x2"): "0496f7acc5b27e38ca09bb898a04efac715aea43a951dbb14e9b108b0fb7b120",
     ("band-blowups", "labeled", "3x4"): "076c8cc412bfc3aedf23f047db503d5da8f05f993eac211ea28e71ce7fc9fecf",
 }
