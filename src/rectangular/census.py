@@ -10,14 +10,16 @@ an order are closed under isotopy as well as relabeling.  The class
 censuses make the fill orderly (Read, "Every one a winner", 1978): when a
 row is complete, ``_still_live`` compares it with each isotope by the
 group's moves over the rows both have filled, each move its permutations,
-read from the flat table in the convention of ``core.flat_isotopes``.  One
-already smaller cuts the branch and one already larger is dropped, so a
-complete table that survives is no greater than any isotope of it: the
-search reaches each class once, at its least table, and deduplicates
-nothing afterwards.  The labeled count lists nothing: ``count_rectangular``
-is a transfer over rows, each row a set partition of the columns.  The band
-blow-ups run no search either: they are counted in closed form, a sum over
-the periodic points of the corner maps, up to band order 10 000.
+read from the flat table in the convention of ``core.flat_isotopes``.  It
+compares cell by cell from the move's first untied row, and the first
+differing cell decides: an isotope already smaller cuts the branch and
+one already larger is dropped, so a complete table that survives is no
+greater than any isotope of it: the search reaches each class once, at
+its least table, and deduplicates nothing afterwards.  The labeled count
+lists nothing: ``count_rectangular`` is a transfer over rows, each row a
+set partition of the columns.  The band blow-ups run no search either:
+they are counted in closed form, a sum over the periodic points of the
+corner maps, up to band order 10 000.
 
 The central search works on the matrix model: row i's out-neighbours must
 index rows that tile the column set.  BB = J forces BJ = JB, hence every
@@ -93,28 +95,33 @@ def _still_live(flat: list[int], n: int, live: list, r: int) -> list | None:
     """The moves of live left live once row r of the flat order-n table g
     is filled, or None where one of them maps g below itself.
 
-    A move h(a, b) = gamma^-1(g(alpha(a), beta(b))) is compared with g row
-    by row, as lists, from its first untied row.  Image row a is read off
-    row alpha(a) of the flat g, so the comparison stops at the first row a
-    that either table has not filled.  h and g differ in no earlier cell,
-    so a first differing row that is smaller in h holds for every
-    completion: the branch is cut.  A larger one holds too: the move is
-    dropped for the subtree.  A move that ties stays live and resumes at
-    its first untied row.  So a table that passes its last row is no
-    greater than any of its images: the least of its orbit (Read 1978).
+    A move h(a, b) = gamma^-1(g(alpha(a), beta(b))) is compared with g cell
+    by cell in row-major order, from its first untied row.  Image row a is
+    read off row alpha(a) of the flat g, so the comparison stops at the
+    first row a that either table has not filled.  h and g differ in no
+    earlier cell, so the first differing cell decides, for every
+    completion: smaller in h cuts the branch, larger drops the move for
+    the subtree, and the rest of its row is not read.  A move that ties
+    stays live and resumes at its first untied row.  So a table that
+    passes its last row is no greater than any of its images: the least
+    of its orbit (Read 1978).
     """
     kept = []
     for move in live:
         a, alpha, beta, gamma_inv = move
         while a <= r and alpha[a] <= r:
-            x = alpha[a] * n
-            image = [gamma_inv[flat[x + y]] for y in beta]
-            row = flat[a * n:a * n + n]
-            if image != row:
-                if image < row:
-                    return None
-                break
-            a += 1
+            x, i = alpha[a] * n, a * n
+            for y in beta:
+                h, g = gamma_inv[flat[x + y]], flat[i]
+                if h != g:
+                    break
+                i += 1
+            else:
+                a += 1
+                continue
+            if h < g:
+                return None
+            break
         else:
             kept.append(move if a == move[0] else (a, alpha, beta, gamma_inv))
     return kept
@@ -148,9 +155,11 @@ def _rect_flats(n: int, triples=()):
         if both & (both - 1):
             return
         fits = (both or full) & ~(above & ~col) & ~(left & ~row)
-        for y in bits_of(fits):
-            rows[r], cols[c] = row | 1 << y, col | 1 << y
-            flat[k] = y
+        while fits:
+            bit = fits & -fits
+            fits ^= bit
+            rows[r], cols[c] = row | bit, col | bit
+            flat[k] = bit.bit_length() - 1
             if c + 1 < n:
                 yield from fill(k + 1, above, left | cols[c], live)
                 continue

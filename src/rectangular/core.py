@@ -26,7 +26,7 @@ h(a, b) = gamma^-1(g(alpha(a), beta(b))).  The identity evaluator, which
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator
 
 
@@ -259,7 +259,7 @@ class Groupoid(Value):
         return self.table[a][b]
 
     def flat(self) -> tuple[int, ...]:
-        return tuple(e for row in self.table for e in row)
+        return tuple(chain.from_iterable(self.table))
 
 
 def pair_groupoid(n: int, m: int, op) -> Groupoid:

@@ -201,22 +201,29 @@ def render_matrix_pair(a: BoolMatrix, b: BoolMatrix) -> str:
 def census_json(result, kind: str) -> str:
     """The JSON of a census.CensusResult; band blow-ups give order (n, m).
 
-    The text is ``json.dumps(payload, indent=2)``'s: json formats the
-    header, and the tables, one entry per line, are written here, several
-    times faster than json's pure-Python indenting encoder writes them.
+    The text is ``json.dumps(payload, indent=2)``'s, written without json.
+    The object's fields, at indent 2, are the order (an int, or a band's
+    [n, m], one side a line at indent 4), the class, the mode, the count,
+    and the tables: null where the census lists none, else a list of flat
+    tables at indent 4, one entry a line at indent 6, the entries spelled
+    through a spelling table.  The class and mode must be the censuses'
+    names, so no string needs escaping.
     """
-    import json  # only a census emits JSON; other commands skip its import
-
-    tables = result.tables
-    text = json.dumps({
-        "order": result.order,
-        "class": kind,
-        "mode": result.mode,
-        "count": result.count,
-        "tables": None if tables is None else [],
-    }, indent=2)
-    if tables:
-        entries = ",\n".join(["    [\n      " + ",\n      ".join(map(str, g.flat())) + "\n    ]"
-                              for g in tables])
-        text = text.removesuffix("[]\n}") + f"[\n{entries}\n  ]\n}}"
-    return text + "\n"
+    mode = result.mode
+    if kind not in ("rectangular", "central", "band-blowups") or \
+            mode not in ("labeled", "isomorphism", "isotopy"):
+        raise ValueError(f"not a census class and mode: {kind!r}, {mode!r}")
+    order, tables = result.order, result.tables
+    if tables is None:
+        body = "null"
+    elif not tables:
+        body = "[]"
+    else:
+        spellings = [str(v) for v in range(order)]
+        body = "[\n" + ",\n".join([
+            "    [\n      " + ",\n      ".join(map(spellings.__getitem__, g.flat())) + "\n    ]"
+            for g in tables]) + "\n  ]"
+    if not isinstance(order, int):
+        order = "[\n    " + ",\n    ".join(map(str, order)) + "\n  ]"
+    return (f'{{\n  "order": {order},\n  "class": "{kind}",\n  "mode": "{mode}",\n'
+            f'  "count": {result.count},\n  "tables": {body}\n}}\n')

@@ -10,7 +10,9 @@ blow-up counts, which ``blow_up_count_by_search`` recounts with it, and
 ``rect_flats_by_placement`` is the reference for the census's row-major
 rectangular search.  Likewise ``loops_first_min`` is the central census's
 former representative walk over bitset rows, kept as the canonical form
-that compares the orderly census with its unpruned search.
+that compares the orderly census with its unpruned search, and
+``still_live_by_row_lists`` is the orderly search's former row check, which
+builds each move's whole image row as a list before it compares.
 """
 
 import warnings
@@ -631,6 +633,37 @@ def rect_census_by_full_absorption(n: int, mode: str) -> list[tuple[int, ...]]:
             if j < len(flats) and flats[j] == image:
                 seen[j] = 1
     return firsts
+
+
+def still_live_by_row_lists(flat: list[int], n: int, live: list, r: int) -> list | None:
+    """The moves of live left live once row r of the flat order-n table g
+    is filled, or None where one of them maps g below itself.
+
+    A move h(a, b) = gamma^-1(g(alpha(a), beta(b))) is compared with g row
+    by row, as lists, from its first untied row.  Image row a is read off
+    row alpha(a) of the flat g, so the comparison stops at the first row a
+    that either table has not filled.  h and g differ in no earlier cell,
+    so a first differing row that is smaller in h holds for every
+    completion: the branch is cut.  A larger one holds too: the move is
+    dropped for the subtree.  A move that ties stays live and resumes at
+    its first untied row.  So a table that passes its last row is no
+    greater than any of its images: the least of its orbit (Read 1978).
+    """
+    kept = []
+    for move in live:
+        a, alpha, beta, gamma_inv = move
+        while a <= r and alpha[a] <= r:
+            x = alpha[a] * n
+            image = [gamma_inv[flat[x + y]] for y in beta]
+            row = flat[a * n:a * n + n]
+            if image != row:
+                if image < row:
+                    return None
+                break
+            a += 1
+        else:
+            kept.append(move if a == move[0] else (a, alpha, beta, gamma_inv))
+    return kept
 
 
 def abelian_group_table(*moduli: int) -> tuple[tuple[int, ...], ...]:

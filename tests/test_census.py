@@ -581,6 +581,99 @@ class TestCountRectangular:
                                                "listing is bounded at order 3")
 
 
+class _CountingList(list):
+    """A list that counts the cells read from it by subscript."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += len(range(*key.indices(len(self)))) if isinstance(key, slice) else 1
+        return super().__getitem__(key)
+
+
+class TestOrderlyKernel:
+    # the row checks made and the live moves offered to them, then the
+    # classes: a faster ``_still_live`` must walk the same search tree
+    @pytest.mark.parametrize("census_of, want", [
+        (lambda: enumerate_rectangular(4, "isomorphism"), (5846, 64449, 1864)),
+        (lambda: enumerate_rectangular(4, "isotopy"), (879, 7960053, 65)),
+        (lambda: enumerate_central(9), (160, 122552, 6))],
+        ids=["iso-o4", "isotopy-o4", "central-o9"])
+    def test_the_search_tree_is_pinned(self, monkeypatch, census_of, want):
+        calls = moves = 0
+        kernel = census._still_live
+
+        def counting(flat, n, live, r):
+            nonlocal calls, moves
+            calls += 1
+            moves += len(live)
+            return kernel(flat, n, live, r)
+
+        monkeypatch.setattr(census, "_still_live", counting)
+        count = census_of().count
+        assert (calls, moves, count) == want
+
+    @staticmethod
+    def _thread(flats, n, moves, scramble, seen):
+        """Both kernels on each flat's rows in turn, as the searches call
+        them: rows after r scrambled, the live moves those the last call
+        kept.  seen counts the cuts, drops and resumed moves."""
+        for flat in flats:
+            live = moves
+            for r in range(n):
+                probe = list(flat[:(r + 1) * n]) + [scramble(y) for y in flat[(r + 1) * n:]]
+                verdict = census._still_live(probe, n, live, r)
+                assert verdict == oracles.still_live_by_row_lists(probe, n, live, r)
+                if verdict is None:
+                    seen["cut"] += 1
+                    break
+                seen["drop"] += len(live) - len(verdict)
+                seen["resume"] += sum(a > 0 for a, *_ in verdict)
+                live = verdict
+
+    @pytest.mark.parametrize("mode", ["isomorphism", "isotopy"])
+    def test_cell_by_cell_equals_the_row_lists(self, mode):
+        rng = random.Random(32)
+        seen = Counter()
+        for n in (2, 3, 4):
+            moves = census._moves(n, _triples(n, mode))
+            if len(moves) > 2000:
+                moves = rng.sample(moves, 2000)
+            tables = list(census._rect_flats(n))
+            flats = rng.sample(tables, min(len(tables), 40)) + [
+                tuple(rng.randrange(n) for _ in range(n * n)) for _ in range(20)]
+            self._thread(flats, n, moves, lambda y: (y + rng.randrange(1, n)) % n, seen)
+        assert min(seen["cut"], seen["drop"], seen["resume"]) > 0
+
+    def test_cell_by_cell_equals_the_row_lists_on_central_complements(self):
+        rng = random.Random(32)
+        m, n = 3, 9
+        ident = tuple(range(n))
+        relabelings = [lo + hi for lo in permutations(range(m))
+                       for hi in permutations(range(m, n))]
+        moves = census._moves(n, [(p, p, ident) for p in relabelings])
+        solutions = census._central_solutions(m, census._row_candidates(m)[0][0])
+        rows = rng.sample(solutions, 20) + [
+            tuple(mask_of(rng.sample(range(n), m)) for _ in range(n)) for _ in range(10)]
+        flats = [[~b >> j & 1 for b in bs for j in range(n)] for bs in rows]
+        seen = Counter()
+        self._thread(flats, n, moves, lambda y: 1 - y, seen)
+        assert min(seen["cut"], seen["drop"], seen["resume"]) > 0
+
+    def test_the_first_differing_cell_decides_and_ends_the_reads(self):
+        # h = gamma^-1(g) with gamma the swap of 0 and 1: larger than g at
+        # cell (0, 0) drops the move, smaller cuts the branch
+        n = 4
+        move = census._moves(n, [((0, 1, 2, 3), (0, 1, 2, 3), (1, 0, 2, 3))])
+        for row, want in (((0, 1, 2, 3), []), ((1, 0, 2, 3), None)):
+            flat = _CountingList(row * n)
+            assert census._still_live(flat, n, move, n - 1) == want
+            assert flat.reads == 2
+            flat = _CountingList(row * n)
+            assert oracles.still_live_by_row_lists(flat, n, move, n - 1) == want
+            assert flat.reads == 2 * n
+
+
 def test_census_result_is_frozen():
     r = enumerate_rectangular(2)
     assert isinstance(r, CensusResult)

@@ -779,6 +779,33 @@ def test_census_json_bytes_are_pinned(capsys, klass, up_to, order):
     assert hashlib.sha256(out).hexdigest() == CENSUS_JSON_SHA256[klass, up_to, order]
 
 
+@pytest.mark.parametrize("kind, result", [
+    ("rectangular", lambda: census.enumerate_rectangular(4, "labeled")),
+    *[("rectangular", lambda n=n, mode=mode: census.enumerate_rectangular(n, mode))
+      for mode in ("isomorphism", "isotopy") for n in (1, 2, 3)],
+    ("central", lambda: census.enumerate_central(10)),
+    ("band-blowups", lambda: census.CensusResult(
+        (3, 4), "labeled", census.enumerate_band_blow_ups(3, 4), None))],
+    ids=["labeled-o4", *[f"{mode}-o{n}" for mode in ("iso", "isotopy") for n in (1, 2, 3)],
+         "central-o10", "band-blowups-3x4"])
+def test_census_json_is_the_json_encoders_text(kind, result):
+    # every shape the CLI emits: tables null, empty and listed, and an
+    # order that is an int or a band's pair
+    r = result()
+    payload = {"order": r.order, "class": kind, "mode": r.mode, "count": r.count,
+               "tables": None if r.tables is None else [list(g.flat()) for g in r.tables]}
+    assert census_json(r, kind) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_census_json_takes_only_the_census_class_and_mode_names():
+    r = census.enumerate_rectangular(2, "isomorphism")
+    for kind in ("groupoid", 'rect"angular', ""):
+        with pytest.raises(ValueError):
+            census_json(r, kind)
+    with pytest.raises(ValueError):
+        census_json(census.CensusResult(2, "iso", r.count, r.tables), "rectangular")
+
+
 class TestCliIsotopyAndTransversal:
     def test_isotopy_witness(self, capsys, table_file):
         a = table_file("a.tbl", render_table(fx.T5A))

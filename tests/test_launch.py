@@ -97,11 +97,14 @@ def test_check_loads_no_json_and_only_the_modules_it_runs(table_file):
 
 
 def test_enumerate_loads_the_census_alone():
-    code, modules = _launch("enumerate", "--class", "rectangular", "--order", "2")
+    code, modules = _launch("enumerate", "--class", "rectangular", "--order", "2",
+                            "--emit", "json")
     assert code == 0
     assert modules & LAZY == {"rectangular.census"}
     if not _loaded_at_start("dataclasses"):
         assert "dataclasses" not in modules
+    if not _loaded_at_start("json"):
+        assert "json" not in modules
 
 
 def test_a_check_with_no_identity_loads_no_evaluator(table_file):
